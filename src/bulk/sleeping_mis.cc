@@ -297,9 +297,16 @@ void BulkSleepingMis::run(BulkEngine& engine) {
       for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
         Rng rng = engine.node_rng(v);
         const std::uint64_t base = std::uint64_t{v} * w.words_per_node;
+        // Bits gather in a register and each word is stored once (the
+        // words start zeroed), not read-modify-written per level.
+        std::uint64_t word = 0;
         for (std::uint32_t i = 1; i <= levels; ++i) {
           if (rng.bernoulli(options_.coin_bias)) {
-            w.bits[base + i / 64] |= std::uint64_t{1} << (i % 64);
+            word |= std::uint64_t{1} << (i % 64);
+          }
+          if (i % 64 == 63 || i == levels) {
+            w.bits[base + i / 64] = word;
+            word = 0;
           }
         }
         if (trace_ != nullptr) {

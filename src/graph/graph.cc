@@ -87,17 +87,16 @@ Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
   g.has_edge_list_ = false;
   g.offsets_ = std::move(offsets);
   g.adjacency_ = std::move(adjacency);
-  // Validate the caller's contract: monotone offsets, each range sorted
+  // Per-vertex checks: monotone in-bounds offsets, each range sorted
   // strictly ascending (no duplicates), in-range endpoints, no
-  // self-loops, and symmetric membership ({u,v} in both ranges — checked
-  // cheaply via degree-balanced mirror lookups). The scan is per-vertex
-  // independent, so it shards over the pool with per-chunk partial
-  // mirror counts and degree maxima merged after the barrier.
-  auto validate_range = [&g, n](VertexId begin, VertexId end,
-                                std::uint64_t* mirrored,
-                                std::uint32_t* max_degree) {
+  // self-loops. Independent per vertex, so the scan shards over the pool
+  // with per-chunk degree maxima merged after the barrier.
+  const CsrOffset entries = g.adjacency_.size();
+  auto check_vertices = [&g, n, entries](VertexId begin, VertexId end,
+                                         std::uint32_t* max_degree) {
     for (VertexId v = begin; v < end; ++v) {
-      if (g.offsets_[v] > g.offsets_[v + 1]) {
+      if (g.offsets_[v] > g.offsets_[v + 1] ||
+          g.offsets_[v + 1] > entries) {
         throw std::invalid_argument("Graph::from_csr: offsets not monotone");
       }
       const auto nbrs = g.neighbors(v);
@@ -114,31 +113,74 @@ Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
           throw std::invalid_argument(
               "Graph::from_csr: adjacency range not sorted ascending");
         }
-        if (u > v && g.port_to(u, v) >= 0) ++*mirrored;
       }
       *max_degree = std::max(*max_degree, g.degree(v));
     }
   };
-  std::uint64_t mirrored = 0;
+  // Symmetry, after every range is known sorted and in bounds: one
+  // cursor walk over the destination block [begin, end). cursor[u]
+  // starts at u's first slot; visiting v ascending, each up-entry u > v
+  // of v's range inside the block must be the entry at cursor[u], which
+  // then advances. Because u's down half is ascending, the walk matches
+  // it entry for entry against the up-entries naming u, in the same
+  // order. When the walk reaches u itself (every v < u done), cursor[u]
+  // must sit exactly at u's first up-entry: a down-entry without its
+  // mirror, or an up-entry without one, leaves it elsewhere. Cursors
+  // only advance, so one that ever leaves u's down half fails that
+  // check; the per-step `c < entries` bound just keeps the read in
+  // bounds until then.
+  util::PodVector<CsrOffset> cursor;
+  cursor.resize(n);
+  auto check_symmetry = [&g, &cursor, entries](VertexId begin,
+                                               VertexId end) {
+    const CsrOffset* off = g.offsets_.data();
+    const VertexId* adj = g.adjacency_.data();
+    CsrOffset* cur = cursor.data();
+    for (VertexId u = begin; u < end; ++u) cur[u] = off[u];
+    for (VertexId v = 0; v < end; ++v) {
+      // Skip to v's first up-entry inside the block (ranges are short;
+      // a linear scan beats a binary search here).
+      const VertexId lo = std::max<VertexId>(v + 1, begin);
+      CsrOffset i = off[v];
+      const CsrOffset last = off[v + 1];
+      while (i != last && adj[i] < lo) ++i;
+      if (v >= begin && cur[v] != i) {
+        throw std::invalid_argument("Graph::from_csr: asymmetric adjacency");
+      }
+      for (; i != last && adj[i] < end; ++i) {
+        const CsrOffset c = cur[adj[i]]++;
+        if (c >= entries || adj[c] != v) {
+          throw std::invalid_argument(
+              "Graph::from_csr: asymmetric adjacency");
+        }
+      }
+    }
+  };
   if (pool != nullptr && pool->num_threads() > 1) {
     const std::size_t chunks = pool->num_chunks(n);
-    std::vector<std::uint64_t> mirrored_parts(chunks, 0);
     std::vector<std::uint32_t> degree_parts(chunks, 0);
     pool->parallel_for_range(
         n, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          validate_range(static_cast<VertexId>(begin),
-                         static_cast<VertexId>(end), &mirrored_parts[chunk],
-                         &degree_parts[chunk]);
+          check_vertices(static_cast<VertexId>(begin),
+                         static_cast<VertexId>(end), &degree_parts[chunk]);
         });
-    for (std::size_t c = 0; c < chunks; ++c) {
-      mirrored += mirrored_parts[c];
-      g.max_degree_ = std::max(g.max_degree_, degree_parts[c]);
+    for (const std::uint32_t d : degree_parts) {
+      g.max_degree_ = std::max(g.max_degree_, d);
     }
+    // Destination blocks: block b owns the cursors of one contiguous
+    // vertex range and walks every v below its end. Down halves grow
+    // with the vertex id on graphs like G(n, p), so 2 blocks per lane
+    // claimed largest-first pair a heavy block with a light one.
+    const std::uint64_t blocks = std::min<std::uint64_t>(
+        n, std::uint64_t{2} * pool->num_threads());
+    pool->parallel_for_index(blocks, [&](std::size_t i) {
+      const std::uint64_t b = blocks - 1 - i;
+      check_symmetry(static_cast<VertexId>(b * n / blocks),
+                     static_cast<VertexId>((b + 1) * n / blocks));
+    });
   } else {
-    validate_range(0, n, &mirrored, &g.max_degree_);
-  }
-  if (mirrored != g.num_edges_) {
-    throw std::invalid_argument("Graph::from_csr: asymmetric adjacency");
+    check_vertices(0, n, &g.max_degree_);
+    check_symmetry(0, n);
   }
   return g;
 }

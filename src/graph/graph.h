@@ -72,10 +72,21 @@ class Graph {
   /// GraphBuilder (see gen::gnp_csr / gen::gnp_sharded_csr). The arrays
   /// are util::PodVector so producers can size them without a serial
   /// zero-fill and first-touch pages from the lanes that will scan them
-  /// (util::sharded_fill). `pool`, when non-null, shards the validation
-  /// scan over its lanes (borrowed; accepted graphs are identical for
-  /// every lane count — only which malformed-input error surfaces first
-  /// can vary).
+  /// (util::sharded_fill).
+  ///
+  /// Validation is O(n + m) and exact. A sequential per-vertex scan
+  /// checks monotone in-bounds offsets, endpoint range, self-loops and
+  /// strict ascent, and records the max degree. Only then does symmetry
+  /// run, as one cursor walk: cursor[u] starts at offsets[u], vertices v
+  /// are visited ascending, and each up-entry u > v of v's range must be
+  /// adjacency[cursor[u]] (then ++cursor[u]); on reaching u, cursor[u]
+  /// must sit at u's first up-entry. The cursors are a transient 8
+  /// bytes per vertex, freed before return. `pool`, when non-null,
+  /// shards the per-vertex scan by vertex chunks and the walk by
+  /// destination block (each block owns the cursors of a contiguous
+  /// vertex range), with no atomics (borrowed; accepted graphs are
+  /// identical for every lane count — only which malformed-input error
+  /// surfaces first can vary).
   static Graph from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
                         util::PodVector<VertexId> adjacency,
                         util::ThreadPool* pool = nullptr);

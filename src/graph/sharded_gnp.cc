@@ -21,16 +21,25 @@
 //    row x it appends each sampled u in ascending order. Single
 //    writer, deterministic order.
 //  * The up half receives x's higher neighbors from whichever blocks
-//    own them; slots are claimed with a relaxed atomic cursor
-//    fetch_add, so the *positions* depend on scheduling — but the
-//    *set* does not. A final parallel per-vertex sort of the up half
-//    restores the unique ascending layout, making the full CSR bitwise
-//    identical at every lane count (the pool-less serial path runs the
-//    identical block schedule and is the reference).
+//    own them. When blocks are sharded over more than one lane, slots
+//    are claimed with a relaxed atomic cursor fetch_add, so the
+//    *positions* depend on scheduling — but the *set* does not. A final
+//    parallel per-vertex sort of the up half restores the unique
+//    ascending layout, making the full CSR bitwise identical at every
+//    lane count (the pool-less serial path runs the identical block
+//    schedule and is the reference).
 //
 // Degree counting (pass 1) splits the same way: down-degrees have a
 // single writer; up-degrees accumulate with relaxed atomic increments,
 // whose sum is order-free.
+//
+// The atomics are needed only when blocks are sharded. With no pool or
+// a 1-lane pool the blocks run in index order on the calling thread,
+// and both passes use plain increments instead: a relaxed RMW is still
+// `lock`-prefixed on x86, which serializes the scatter's cache misses.
+// The serial run claims each up half's slots in ascending neighbor
+// order, which is the sorted layout itself, so it also skips the sort
+// and its CSR is identical.
 //
 // Memory stays on the diet path: no edge list is staged, and the
 // transient arrays (two u32 degree halves + the u64 cursor) are freed
@@ -64,16 +73,21 @@ std::uint64_t block_count(VertexId n) {
   return (std::uint64_t{n} + kBlockVertices - 1) / kBlockVertices;
 }
 
-/// Runs fn(b) for every block, over the pool when present (dynamic
-/// claim order; every write fn makes is claim-order independent) and
-/// in index order when not.
+/// Streams block b's G(n, p) pairs (u, v), u < v, to fn in row order
+/// and returns the block's stream for the caller to digest. Both passes
+/// replay the same stream, so pass 2 sees exactly pass 1's edges.
 template <typename Fn>
-void for_each_block(std::uint64_t blocks, util::ThreadPool* pool, Fn&& fn) {
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_for_index(blocks, fn);
-  } else {
-    for (std::uint64_t b = 0; b < blocks; ++b) fn(b);
-  }
+Rng replay_block(VertexId n, double p, std::uint64_t seed, std::uint64_t b,
+                 Fn&& fn) {
+  // SLUMBER-STREAM-DISCIPLINE(block-counter): one stream per vertex
+  // block; the dense block id b is the stream key and blocks never
+  // share a row, so no tag mixing is needed (see README).
+  Rng rng = util::stream_rng(seed, b);
+  const VertexId lo = static_cast<VertexId>(b * kBlockVertices);
+  const VertexId hi = static_cast<VertexId>(
+      std::min<std::uint64_t>(n, (b + 1) * kBlockVertices));
+  detail::for_each_gnp_edge_rows(lo, hi, p, rng, fn);
+  return rng;
 }
 
 /// Runs fn(begin, end) over contiguous chunks of [0, total): the
@@ -105,44 +119,47 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
 
   util::ThreadPool* pool = options.pool;
   const std::uint64_t blocks = block_count(n);
-  const bool first_touch =
-      options.first_touch && pool != nullptr && pool->num_threads() > 1;
+  const bool sharded = pool != nullptr && pool->num_threads() > 1;
+  const bool first_touch = options.first_touch && sharded;
   obs::progress_phase("generate");
   obs::Span gen_span("gen", "gnp_sharded_csr", n);
 
   // --- pass 1: degree halves ----------------------------------------
   // down[x] = |{u < x adjacent to x}| (single writer: block(x));
-  // up[u]   = |{v > u adjacent to u}| (relaxed atomic sum).
+  // up[u]   = |{v > u adjacent to u}| (relaxed atomic sum when sharded).
   util::PodVector<std::uint32_t> down =
       util::sharded_fill<std::uint32_t>(n, 0, first_touch ? pool : nullptr);
   util::PodVector<std::uint32_t> up =
       util::sharded_fill<std::uint32_t>(n, 0, first_touch ? pool : nullptr);
-  std::atomic<std::uint64_t> edge_total{0};
-  std::atomic<std::uint64_t> rng_digest{0};
+  // Pass 1's block body; count_up(u) bumps up[u].
+  auto count_block = [&](std::uint64_t b, auto&& count_up) {
+    std::uint64_t count = 0;
+    replay_block(n, p, seed, b, [&](VertexId u, VertexId v) {
+      ++down[v];  // v is a row of block b: block(v) is the single writer
+      count_up(u);
+      ++count;
+    });
+    return count;
+  };
+  std::uint64_t m = 0;
   {
     obs::Span span("gen", "degree_pass", blocks);
-    for_each_block(blocks, pool, [&](std::uint64_t b) {
-      // SLUMBER-STREAM-DISCIPLINE(block-counter): one stream per vertex
-      // block; the dense block id b is the stream key and blocks never
-      // share a row, so no tag mixing is needed (see README).
-      Rng rng = util::stream_rng(seed, b);
-      const VertexId lo = static_cast<VertexId>(b * kBlockVertices);
-      const VertexId hi = static_cast<VertexId>(
-          std::min<std::uint64_t>(n, (b + 1) * kBlockVertices));
-      std::uint64_t count = 0;
-      detail::for_each_gnp_edge_rows(lo, hi, p, rng,
-                                     [&](VertexId u, VertexId v) {
-                                       // NOLINTNEXTLINE(slumber-d5): v is a row of this block, so block(v)==b is the single writer
-                                       ++down[v];
-                                       std::atomic_ref<std::uint32_t>(up[u])
-                                           .fetch_add(
-                                               1, std::memory_order_relaxed);
-                                       ++count;
-                                     });
-      edge_total.fetch_add(count, std::memory_order_relaxed);
-    });
+    if (sharded) {
+      std::atomic<std::uint64_t> edge_total{0};
+      pool->parallel_for_index(blocks, [&](std::uint64_t b) {
+        const std::uint64_t count = count_block(b, [&up](VertexId u) {
+          std::atomic_ref<std::uint32_t>(up[u]).fetch_add(
+              1, std::memory_order_relaxed);
+        });
+        edge_total.fetch_add(count, std::memory_order_relaxed);
+      });
+      m = edge_total.load(std::memory_order_relaxed);
+    } else {
+      for (std::uint64_t b = 0; b < blocks; ++b) {
+        m += count_block(b, [&up](VertexId u) { ++up[u]; });
+      }
+    }
   }
-  const std::uint64_t m = edge_total.load(std::memory_order_relaxed);
   checked_edge_count(m, "gnp_sharded_csr");
 
   // --- offsets + up-half cursors ------------------------------------
@@ -156,8 +173,8 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
           offsets[v] + down[v] + up[v];
     }
   }
-  // cursor[u] starts at the first slot of u's up half and is bumped by
-  // a relaxed fetch_add per cross-block write in pass 2.
+  // cursor[u] starts at the first slot of u's up half and is bumped once
+  // per up-half write in pass 2 (a relaxed fetch_add when sharded).
   util::PodVector<CsrOffset> cursor;
   cursor.resize(n);
   {
@@ -185,40 +202,52 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
                      for (std::uint64_t i = begin; i < end; ++i) adj[i] = 0;
                    });
   }
+  // Pass 2's block body; claim_up(u) returns the next free slot of
+  // u's up half. Returns the stream's next draw after generation, a pure
+  // function of (seed, b) whose wrapping sum over blocks is order-free.
+  auto fill_block = [&](std::uint64_t b, auto&& claim_up) {
+    VertexId row = kInvalidVertex;
+    CsrOffset row_cursor = 0;
+    Rng rng = replay_block(n, p, seed, b, [&](VertexId u, VertexId v) {
+      if (v != row) {
+        row = v;
+        row_cursor = offsets[v];
+      }
+      // row_cursor walks offsets[v]..offsets[v]+down[v], a range owned
+      // by block b since block(v) == b.
+      adjacency[row_cursor++] = u;  // down half, ascending in row
+      adjacency[claim_up(u)] = v;   // up half, ascending after the sort
+    });
+    return rng.next();
+  };
+  std::uint64_t rng_digest = 0;
   {
     obs::Span span("gen", "fill_pass", blocks);
-    for_each_block(blocks, pool, [&](std::uint64_t b) {
-      // SLUMBER-STREAM-DISCIPLINE(block-counter): same per-block stream
-      // as the degree pass, replayed so pass 2 sees pass 1's edges.
-      Rng rng = util::stream_rng(seed, b);
-      const VertexId lo = static_cast<VertexId>(b * kBlockVertices);
-      const VertexId hi = static_cast<VertexId>(
-          std::min<std::uint64_t>(n, (b + 1) * kBlockVertices));
-      VertexId row = kInvalidVertex;
-      CsrOffset row_cursor = 0;
-      detail::for_each_gnp_edge_rows(
-          lo, hi, p, rng, [&](VertexId u, VertexId v) {
-            if (v != row) {
-              row = v;
-              row_cursor = offsets[v];
-            }
-            // NOLINTNEXTLINE(slumber-d5): row_cursor walks offsets[v]..offsets[v]+down[v], a range owned by this block since block(v)==b
-            adjacency[row_cursor++] = u;  // down half, ascending in row
-            const CsrOffset slot =
-                std::atomic_ref<CsrOffset>(cursor[u]).fetch_add(
-                    1, std::memory_order_relaxed);
-            // NOLINTNEXTLINE(slumber-d5): slot was uniquely claimed by the fetch_add above; the sort pass canonicalizes order
-            adjacency[slot] = v;  // up half, position fixed by the sort
-          });
-      // The stream's next draw after generation is a pure function of
-      // (seed, b); the wrapping sum over blocks is order-free.
-      rng_digest.fetch_add(rng.next(), std::memory_order_relaxed);
-    });
+    if (sharded) {
+      std::atomic<std::uint64_t> digest{0};
+      pool->parallel_for_index(blocks, [&](std::uint64_t b) {
+        const std::uint64_t next = fill_block(b, [&cursor](VertexId u) {
+          return std::atomic_ref<CsrOffset>(cursor[u]).fetch_add(
+              1, std::memory_order_relaxed);
+        });
+        digest.fetch_add(next, std::memory_order_relaxed);
+      });
+      rng_digest = digest.load(std::memory_order_relaxed);
+    } else {
+      for (std::uint64_t b = 0; b < blocks; ++b) {
+        rng_digest += fill_block(b, [&cursor](VertexId u) {
+          return cursor[u]++;
+        });
+      }
+    }
   }
   util::PodVector<CsrOffset>().swap(cursor);
 
   // --- canonicalize the up halves -----------------------------------
-  {
+  // Only sharded claims land out of order. The serial run visits blocks,
+  // and rows within a block, ascending, so its up halves are already
+  // sorted (from_csr rejects the CSR if they are not).
+  if (sharded) {
     obs::Span span("gen", "sort_up_halves", n);
     VertexId* adj = adjacency.data();
     const CsrOffset* off = offsets.data();
@@ -234,8 +263,7 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
 
   if (options.stats_out != nullptr) {
     options.stats_out->blocks = blocks;
-    options.stats_out->rng_digest =
-        rng_digest.load(std::memory_order_relaxed);
+    options.stats_out->rng_digest = rng_digest;
   }
   return Graph::from_csr(n, std::move(offsets), std::move(adjacency), pool);
 }

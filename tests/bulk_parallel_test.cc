@@ -7,7 +7,10 @@
 // chunked accounting merge on every scan. These tests are also the
 // ThreadSanitizer workload for the parallel bulk path (the tsan CI
 // job).
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "graph/generators.h"
 #include "metrics_test_util.h"
 #include "sim/network.h"
+#include "util/alloc.h"
 #include "util/thread_pool.h"
 
 namespace slumber {
@@ -263,22 +267,105 @@ TEST(BulkMemoryDiet, CsrGraphRunsIdenticallyToEdgeListGraph) {
   EXPECT_TRUE(analysis::check_mis(b, run_b.outputs).ok());
 }
 
+// Every from_csr case runs pool-less and through a 4-lane pool: the
+// pooled path shards the per-vertex scan and the symmetry walk
+// differently, and both must reject (or accept) the same inputs.
+template <typename Fn>
+void ForEachFromCsrPath(Fn&& fn) {
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* path : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool}) {
+    SCOPED_TRACE(path == nullptr ? "pool-less" : "4-lane pool");
+    fn(path);
+  }
+}
+
 TEST(BulkMemoryDiet, FromCsrValidatesShape) {
-  // Malformed: offsets not covering adjacency.
-  EXPECT_THROW(Graph::from_csr(2, {0, 1, 1}, {1, 0}), std::invalid_argument);
-  // Self-loop.
-  EXPECT_THROW(Graph::from_csr(2, {0, 1, 2}, {0, 0}), std::invalid_argument);
-  // Asymmetric adjacency (1 lists 0, 0 does not list 1).
-  EXPECT_THROW(Graph::from_csr(3, {0, 1, 2, 2}, {2, 0}),
-               std::invalid_argument);
-  // Unsorted range.
-  EXPECT_THROW(Graph::from_csr(3, {0, 2, 3, 4}, {2, 1, 0, 0}),
-               std::invalid_argument);
-  // A valid path graph round-trips.
-  const Graph p = Graph::from_csr(3, {0, 1, 3, 4}, {1, 0, 2, 1});
-  EXPECT_EQ(p.num_edges(), 2u);
-  EXPECT_EQ(p.degree(1), 2u);
-  EXPECT_FALSE(p.has_edge_list());
+  ForEachFromCsrPath([](util::ThreadPool* pool) {
+    // Malformed: offsets not covering adjacency.
+    EXPECT_THROW(Graph::from_csr(2, {0, 1, 1}, {1, 0}, pool),
+                 std::invalid_argument);
+    // Self-loop.
+    EXPECT_THROW(Graph::from_csr(2, {0, 1, 2}, {0, 0}, pool),
+                 std::invalid_argument);
+    // Asymmetric adjacency (1 lists 0, 0 does not list 1).
+    EXPECT_THROW(Graph::from_csr(3, {0, 1, 2, 2}, {2, 0}, pool),
+                 std::invalid_argument);
+    // Crossed pair with balanced degrees: 0-2 and 1-3 each listed from
+    // one side only, so every degree matches a symmetric graph's.
+    EXPECT_THROW(Graph::from_csr(4, {0, 1, 2, 3, 4}, {2, 3, 1, 0}, pool),
+                 std::invalid_argument);
+    // Down-entries with no matching up-entry (2 lists 1, 3 lists 2).
+    EXPECT_THROW(Graph::from_csr(4, {0, 1, 2, 3, 4}, {1, 0, 1, 2}, pool),
+                 std::invalid_argument);
+    // Non-monotone offsets, in bounds and past the end of adjacency.
+    EXPECT_THROW(Graph::from_csr(3, {0, 2, 1, 2}, {1, 0}, pool),
+                 std::invalid_argument);
+    EXPECT_THROW(Graph::from_csr(2, {0, 100, 2}, {1, 0}, pool),
+                 std::invalid_argument);
+    // Up-entries into a trailing empty range: vertex 3's cursor starts
+    // one past the last adjacency slot.
+    EXPECT_THROW(Graph::from_csr(4, {0, 1, 2, 2, 2}, {3, 3}, pool),
+                 std::invalid_argument);
+    // Out-of-range endpoint.
+    EXPECT_THROW(Graph::from_csr(2, {0, 1, 2}, {5, 0}, pool),
+                 std::invalid_argument);
+    // Unsorted range.
+    EXPECT_THROW(Graph::from_csr(3, {0, 2, 3, 4}, {2, 1, 0, 0}, pool),
+                 std::invalid_argument);
+    // A valid path graph round-trips.
+    const Graph p = Graph::from_csr(3, {0, 1, 3, 4}, {1, 0, 2, 1}, pool);
+    EXPECT_EQ(p.num_edges(), 2u);
+    EXPECT_EQ(p.degree(1), 2u);
+    EXPECT_EQ(p.max_degree(), 2u);
+    EXPECT_FALSE(p.has_edge_list());
+  });
+}
+
+TEST(BulkMemoryDiet, FromCsrRejectsEveryRewiredEntry) {
+  // Rewiring one entry of a valid CSR to another in-range vertex while
+  // keeping its range sorted passes every per-vertex check, so only the
+  // symmetry walk can catch it.
+  constexpr VertexId kN = 2000;
+  const Graph g = gen::gnp_avg_degree_sharded_csr(kN, 8.0, 3);
+  util::PodVector<CsrOffset> offsets(std::uint64_t{kN} + 1, 0);
+  util::PodVector<VertexId> adjacency(g.degree_sum(), 0);
+  for (VertexId v = 0; v < kN; ++v) {
+    const auto nbrs = g.neighbors(v);
+    offsets[std::uint64_t{v} + 1] = offsets[v] + nbrs.size();
+    std::copy(nbrs.begin(), nbrs.end(),
+              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]));
+  }
+  ForEachFromCsrPath([&](util::ThreadPool* pool) {
+    EXPECT_TRUE(Graph::from_csr(kN, offsets, adjacency, pool).same_csr(g));
+    Rng rng(17);
+    int rewired = 0;
+    while (rewired < 64) {
+      const auto v = static_cast<VertexId>(rng.below(kN));
+      if (g.degree(v) == 0) continue;
+      const CsrOffset slot = offsets[v] + rng.below(g.degree(v));
+      // Strictly between the slot's neighbors keeps the range sorted.
+      const std::uint64_t lo =
+          slot == offsets[v] ? 0 : std::uint64_t{adjacency[slot - 1]} + 1;
+      const std::uint64_t hi =
+          slot + 1 == offsets[v + 1] ? kN : adjacency[slot + 1];
+      const auto x = static_cast<VertexId>(lo + rng.below(hi - lo));
+      if (x == adjacency[slot] || x == v) continue;
+      util::PodVector<VertexId> bad = adjacency;
+      bad[slot] = x;
+      SCOPED_TRACE(testing::Message() << "v=" << v << " slot=" << slot
+                                      << " x=" << x);
+      try {
+        Graph::from_csr(kN, offsets, std::move(bad), pool);
+        ADD_FAILURE() << "rewired CSR accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("asymmetric"),
+                  std::string::npos)
+            << e.what();
+      }
+      ++rewired;
+    }
+  });
 }
 
 }  // namespace

@@ -48,6 +48,24 @@ PLANTS = [
         "slumber-d5",
     ),
     (
+        # The serial G(n, p) path bumps up[u] with a plain increment;
+        # the same increment on the sharded path is a race.
+        "d5-gnp-sharded-plain-up-increment",
+        "src/graph/sharded_gnp.cc",
+        "std::atomic_ref<std::uint32_t>(up[u]).fetch_add(\n"
+        "              1, std::memory_order_relaxed);",
+        "++up[u];",
+        "slumber-d5",
+    ),
+    (
+        "d5-gnp-sharded-plain-slot-claim",
+        "src/graph/sharded_gnp.cc",
+        "return std::atomic_ref<CsrOffset>(cursor[u]).fetch_add(\n"
+        "              1, std::memory_order_relaxed);",
+        "return cursor[u]++;",
+        "slumber-d5",
+    ),
+    (
         "d6-registry-high32-collision",
         "src/util/stream_tags.h",
         "0xC4A54AD0'5EED'0002ULL",
