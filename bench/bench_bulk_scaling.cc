@@ -12,27 +12,22 @@
 // engines' outputs and metrics agree bitwise, then prints the speedup.
 //
 // With `threads > 1` the per-frame node scans shard over a thread pool
-// (intra-trial parallelism); at n <= 1M every parallel trial is
-// re-executed serially and compared bitwise — outputs, aggregate AND
-// per-node metrics — which is the cross-check the bulk-large-n CI job
-// drives with `bench_bulk_scaling 1000000 1 2 --gen sharded`.
+// (intra-trial parallelism), and so does the G(n, p) build
+// (gen::gnp_avg_degree_sharded_csr). At n <= 1M every parallel build is
+// re-run serially and compared bitwise CSR-for-CSR (the generator-level
+// determinism gate), and every parallel trial is re-executed serially
+// and compared bitwise — outputs, aggregate AND per-node metrics —
+// which is the cross-check the bulk-large-n CI job drives with
+// `bench_bulk_scaling 1000000 1 2`.
 //
-// `--gen sharded` switches graph generation to the counter-based
-// per-block schedule (gen::gnp_avg_degree_sharded_csr): the CSR build
-// itself shards over the `threads` lanes, and at n <= 1M a sharded
-// build is re-run serially and compared bitwise CSR-for-CSR (the
-// generator-level determinism gate). Sharded graphs are memory-diet
-// (no edge list) regardless of `--mem-diet`.
-//
-// `--mem-diet` switches to the 10^8-node memory envelope: the graph is
-// streamed straight into CSR with no edge list and per-node
+// `--mem-diet` switches to the 10^8-node memory envelope: per-node
 // sim::Metrics are disabled (aggregate counters, outputs, and the MIS
 // validity check remain exact). `--first-touch` additionally
 // initializes the CSR and the engine's hot per-node arrays from the
 // lanes that will scan them (NUMA page placement; bitwise no-op).
 // The 10^8 recipe:
 //
-//   bench_bulk_scaling 100000000 1 8 --mem-diet --gen sharded --first-touch
+//   bench_bulk_scaling 100000000 1 8 --mem-diet --first-touch
 //
 // The final lines `BENCH-SPLIT build_ms=<b> run_ms=<r>`,
 // `BENCH-PHASE gen=<b>` / `BENCH-PHASE run=<r>`, and
@@ -45,9 +40,8 @@
 // obs/obs.h. They never change any decided output.
 //
 //   bench_bulk_scaling [max_n] [seeds] [threads] [--mem-diet]
-//       [--gen legacy|sharded] [--first-touch]
-//       [--obs-out F] [--obs-trace F] [--progress]
-//       (default: 10,000,000 / 1 / 1 / legacy)
+//       [--first-touch] [--obs-out F] [--obs-trace F] [--progress]
+//       (default: 10,000,000 / 1 / 1)
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -98,7 +92,6 @@ std::uint64_t parse_uint_or_die(const std::string& token, const char* what,
 int main(int argc, char** argv) {
   bool mem_diet = false;
   bool first_touch = false;
-  gen::Schedule schedule = gen::Schedule::kLegacy;
   obs::Options obs_options;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
@@ -116,16 +109,6 @@ int main(int argc, char** argv) {
                           : obs_options.trace_path) = argv[++i];
     } else if (arg == "--progress") {
       obs_options.progress = true;
-    } else if (arg == "--gen") {
-      if (i + 1 >= argc ||
-          !gen::schedule_from_name(argv[++i], &schedule)) {
-        std::cerr << "error: --gen needs one of:";
-        for (const gen::Schedule s : gen::all_schedules()) {
-          std::cerr << ' ' << gen::schedule_name(s);
-        }
-        std::cerr << '\n';
-        return 2;
-      }
     } else {
       args.push_back(arg);
     }
@@ -147,8 +130,7 @@ int main(int argc, char** argv) {
 
   std::cout << analysis::banner(
       "bulk engine scaling / SleepingMIS on G(n, 8/n), up to n = " +
-      std::to_string(max_n) + ", " + std::to_string(threads) + " lane(s), " +
-      gen::schedule_name(schedule) + " generator" +
+      std::to_string(max_n) + ", " + std::to_string(threads) + " lane(s)" +
       (mem_diet ? ", memory diet" : "") +
       (first_touch ? ", first touch" : ""));
 
@@ -159,10 +141,8 @@ int main(int argc, char** argv) {
     obs_session.set_info("tool", "bench_bulk_scaling");
     obs_session.set_info("max_n", std::to_string(max_n));
     obs_session.set_info("threads", std::to_string(threads));
-    obs_session.set_info("gen", gen::schedule_name(schedule));
   }
   util::ThreadPool pool(threads == 0 ? 1 : threads);
-  const bool sharded = schedule == gen::Schedule::kSharded;
 
   std::vector<VertexId> sizes;
   for (std::uint64_t n = 65536; n < max_n; n *= 8) {
@@ -181,27 +161,19 @@ int main(int argc, char** argv) {
     for (std::uint32_t s = 0; s < seeds; ++s) {
       const std::uint64_t seed = analysis::trial_seed(19 * n, s);
       auto t0 = std::chrono::steady_clock::now();
-      Graph g;
-      if (sharded) {
-        // The sharded schedule's CSR build itself splits over the
-        // lanes; output is bitwise identical at every lane count.
-        gen::ShardedGnpOptions gen_options;
-        gen_options.pool = pool.num_threads() > 1 ? &pool : nullptr;
-        gen_options.first_touch = first_touch;
-        g = gen::gnp_avg_degree_sharded_csr(n, 8.0, seed, gen_options);
-      } else {
-        Rng rng(seed);
-        // The diet path streams the identical edge set into CSR with
-        // no edge-list stage and leaves the RNG in the same state.
-        g = mem_diet ? gen::gnp_avg_degree_csr(n, 8.0, rng)
-                     : gen::gnp_avg_degree(n, 8.0, rng);
-      }
+      // The CSR build itself splits over the lanes; output is bitwise
+      // identical at every lane count.
+      gen::ShardedGnpOptions gen_options;
+      gen_options.pool = pool.num_threads() > 1 ? &pool : nullptr;
+      gen_options.first_touch = first_touch;
+      const Graph g =
+          gen::gnp_avg_degree_sharded_csr(n, 8.0, seed, gen_options);
       const double build_ms = ms_since(t0);
       total_build_ms += build_ms;
 
-      // Generator-level determinism gate: a parallel sharded build
-      // must reproduce the serial sharded build CSR for CSR.
-      if (sharded && pool.num_threads() > 1 && n <= kThreadCheckLimit) {
+      // Generator-level determinism gate: a parallel build must
+      // reproduce the serial build CSR for CSR.
+      if (pool.num_threads() > 1 && n <= kThreadCheckLimit) {
         const Graph serial_g = gen::gnp_avg_degree_sharded_csr(n, 8.0, seed);
         if (!g.same_csr(serial_g)) {
           std::cerr << "GENERATOR LANE-COUNT MISMATCH at n=" << n

@@ -14,12 +14,11 @@
 // draws, so every cell is reproducible bit for bit at any lane count.
 //
 // The shared flag grammar (analysis/trial_spec.h) applies: --threads
-// sets the intra-trial lane count, --gen picks the G(n, p) schedule
-// (sharded builds CSR-only memory-diet graphs in parallel — the 10^7
-// recipe). The paper-scale invocation behind the committed baseline's
+// sets the intra-trial lane count, which also shards the G(n, p)
+// build. The paper-scale invocation behind the committed baseline's
 // acceptance row:
 //
-//   bench_fault_scaling 10000000 --threads 8 --gen sharded
+//   bench_fault_scaling 10000000 --threads 8
 //
 // The final `BENCH-SPLIT build_ms=<b> run_ms=<r>`,
 // `BENCH-PHASE gen=<b>` / `BENCH-PHASE run=<r>`, and
@@ -27,7 +26,7 @@
 // (slumber-bench-v3 baselines). The shared telemetry flags (--obs-out,
 // --obs-trace, --progress) work here too; see obs/obs.h.
 //
-//   bench_fault_scaling [n] [seed] [--threads N] [--gen legacy|sharded]
+//   bench_fault_scaling [n] [seed] [--threads N]
 //       [--obs-out F] [--obs-trace F] [--progress]
 //       (default: 1,000,000 / 1)
 #include <chrono>
@@ -123,18 +122,14 @@ int main(int argc, char** argv) {
     obs_session.set_info("tool", "bench_fault_scaling");
     obs_session.set_info("n", std::to_string(n));
     obs_session.set_info("threads", std::to_string(threads));
-    obs_session.set_info("gen", gen::schedule_name(spec.schedule));
   }
   util::ThreadPool pool(threads);
 
   const auto build_start = std::chrono::steady_clock::now();
-  gen::MakeOptions make_options;
-  make_options.schedule = spec.schedule;
-  make_options.pool = &pool;
-  const Graph g = gen::make(gen::Family::kGnpSparse, n, seed, make_options);
+  const Graph g =
+      gen::make(gen::Family::kGnpSparse, n, seed, {.pool = &pool});
   const double build_ms = ms_since(build_start);
-  std::cout << "graph: " << g.summary() << " (" << threads << " lanes, "
-            << gen::schedule_name(spec.schedule) << " gen, build "
+  std::cout << "graph: " << g.summary() << " (" << threads << " lanes, build "
             << analysis::Table::num(build_ms, 0) << " ms)\n\n";
 
   struct Scenario {

@@ -17,8 +17,7 @@ namespace {
 using namespace slumber;
 
 Graph make_gnp(VertexId n, std::uint64_t seed) {
-  Rng rng(seed);
-  return gen::gnp_avg_degree(n, 8.0, rng);
+  return gen::gnp_avg_degree_sharded_csr(n, 8.0, seed);
 }
 
 void BM_SleepingMis(benchmark::State& state) {

@@ -17,8 +17,7 @@ int main() {
   using namespace slumber;
 
   // A 48-port switch with random circuit requests (G(48, avg deg 5)).
-  Rng rng(3);
-  const Graph requests = gen::gnp_avg_degree(48, 5.0, rng);
+  const Graph requests = gen::gnp_avg_degree_sharded_csr(48, 5.0, 3);
   std::cout << "circuit requests: " << requests.summary() << " (line graph: "
             << requests.line_graph().summary() << ")\n\n";
 
@@ -49,8 +48,9 @@ int main() {
   const auto result =
       algos::maximal_matching_via_mis(requests, 11, algos::MisEngine::kSleeping);
   std::cout << "\ngranted circuits (SleepingMIS): ";
+  const std::vector<Edge> circuits = requests.edges();
   for (EdgeId e : result.matched_edges) {
-    const Edge edge = requests.edges()[e];
+    const Edge edge = circuits[e];
     std::cout << edge.u << "-" << edge.v << " ";
   }
   std::cout << "\n";

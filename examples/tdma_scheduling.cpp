@@ -47,11 +47,12 @@ int main() {
 
   std::cout << "slot table (first 8 slots):\n";
   std::size_t shown = 0;
+  const std::vector<Edge> links = g.edges();
   for (const auto& [color, edges] : slots) {
     if (shown++ == 8) break;
     std::cout << "  slot " << color << ": " << edges.size() << " links |";
     for (std::size_t i = 0; i < std::min<std::size_t>(edges.size(), 6); ++i) {
-      const Edge edge = g.edges()[edges[i]];
+      const Edge edge = links[edges[i]];
       std::cout << " " << edge.u << "-" << edge.v;
     }
     if (edges.size() > 6) std::cout << " ...";

@@ -52,16 +52,6 @@ bool parse_trial_flags(std::vector<std::string>* args, TrialSpec* spec,
             << "'; valid back ends: coroutine bulk\n";
         return false;
       }
-    } else if (flag == "--gen") {
-      if (!flag_value(a, i, "--gen", err)) return false;
-      if (!gen::schedule_from_name(a[++i], &spec->schedule)) {
-        err << "error: unknown --gen '" << a[i] << "'; valid generators:";
-        for (const gen::Schedule schedule : gen::all_schedules()) {
-          err << ' ' << gen::schedule_name(schedule);
-        }
-        err << '\n';
-        return false;
-      }
     } else if (flag == "--crash") {
       if (!flag_value(a, i, "--crash", err)) return false;
       const std::string& token = a[++i];

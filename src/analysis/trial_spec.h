@@ -1,14 +1,13 @@
 // The one command-line vocabulary every experiment front end shares.
 //
 // A TrialSpec bundles what used to be scattered per-tool flag handling:
-// the execution back end (--engine), the G(n, p) seed schedule (--gen),
-// the lane count (--threads), the fault plan (--crash v@r, --loss p,
-// --loss-burst p_on p_off len, --churn rate, --churn-batches k,
-// --churn-live leave join, --recover mean), and the telemetry sinks
-// (--obs-out, --obs-trace, --progress). parse_trial_flags() consumes
-// those flags —
-// wherever they appear — from an argument vector and leaves the tool's
-// own positional arguments behind, so the CLI's run / sweep / beep
+// the execution back end (--engine), the lane count (--threads), the
+// fault plan (--crash v@r, --loss p, --loss-burst p_on p_off len,
+// --churn rate, --churn-batches k, --churn-live leave join, --recover
+// mean), and the telemetry sinks (--obs-out, --obs-trace, --progress).
+// parse_trial_flags() consumes those flags — wherever they appear —
+// from an argument vector and leaves the tool's own positional
+// arguments behind, so the CLI's run / sweep / beep
 // commands and the bench front ends all accept the identical grammar
 // with the identical diagnostics (full-token std::from_chars
 // validation; unknown values are rejected with the list of valid
@@ -21,7 +20,6 @@
 
 #include "analysis/experiment.h"
 #include "fault/fault.h"
-#include "graph/generators.h"
 #include "obs/obs.h"
 
 namespace slumber::analysis {
@@ -30,7 +28,6 @@ namespace slumber::analysis {
 /// `fault_or_null()` so a fault-free spec costs the engines nothing.
 struct TrialSpec {
   ExecEngine exec = ExecEngine::kCoroutine;
-  gen::Schedule schedule = gen::Schedule::kLegacy;
   /// --threads lane count; 0 = all hardware threads.
   unsigned threads = 0;
   fault::FaultPlan fault;
@@ -53,13 +50,12 @@ struct TrialSpec {
 
 /// Consumes every recognized shared flag from `args` (in place, any
 /// position) into `spec`. Returns false after printing a diagnostic to
-/// `err` on malformed or out-of-range values, unknown --engine/--gen
+/// `err` on malformed or out-of-range values, unknown --engine
 /// names, or a churn request on the coroutine back end (churn repair
 /// needs the bulk engine's alive mask — say `--engine bulk`).
 ///
 ///   --threads N         lane count (>= 1)
 ///   --engine NAME       coroutine | bulk
-///   --gen NAME          generation schedule (gen::all_schedules())
 ///   --crash V@R         fail-stop node V at round R (repeatable)
 ///   --loss P            per-link-per-round symmetric message loss
 ///   --loss-burst P_ON P_OFF LEN

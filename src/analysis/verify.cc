@@ -34,9 +34,8 @@ MisCheck check_mis_indicator(const Graph& g,
   check.all_decided = true;
   check.is_independent = true;
   check.is_maximal = true;
-  // Iterate the CSR (u < v visits each edge once) instead of edges():
-  // this keeps the verifier usable on memory-diet graphs that dropped
-  // the edge list (Graph::from_csr).
+  // Iterate the CSR (u < v visits each edge once) instead of edges(),
+  // which would materialize an O(m) edge list.
   for (VertexId v = 0; v < g.num_vertices() && check.is_independent; ++v) {
     if (!in_mis[v]) continue;
     for (VertexId u : g.neighbors(v)) {

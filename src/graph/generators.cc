@@ -5,8 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "graph/gnp_detail.h"
-
 namespace slumber::gen {
 
 Graph empty(VertexId n) { return Graph(n, {}); }
@@ -158,96 +156,8 @@ Graph clique_chain(VertexId n, VertexId clique_size) {
   return std::move(builder).build();
 }
 
-namespace {
-
-/// The legacy single-stream schedule: one draw sequence across the
-/// whole vertex triangle. Both gnp entry points drive this with the
-/// same RNG draws, so they realize the identical edge set.
-template <typename Fn>
-void for_each_gnp_edge(VertexId n, double p, Rng& rng, Fn&& fn) {
-  detail::for_each_gnp_edge_rows(0, n, p, rng, std::forward<Fn>(fn));
-}
-
-}  // namespace
-
 double gnp_probability_for_avg_degree(VertexId n, double avg_deg) {
   return std::min(1.0, avg_deg / static_cast<double>(n - 1));
-}
-
-std::size_t gnp_reserve_hint(VertexId n, double p) {
-  const double pairs = 0.5 * static_cast<double>(n) *
-                       static_cast<double>(n - 1);
-  const double mean = p * pairs;
-  return static_cast<std::size_t>(
-      mean + 4.0 * std::sqrt(mean * (1.0 - p)) + 16.0);
-}
-
-Graph gnp(VertexId n, double p, Rng& rng) {
-  GraphBuilder builder(n);
-  if (p <= 0.0 || n < 2) return std::move(builder).build();
-  if (p >= 1.0) return complete(n);
-  builder.reserve(gnp_reserve_hint(n, p));
-  // Edges are staged through a fixed-size chunk and flushed via
-  // add_edges, the streaming construction path.
-  std::vector<Edge> chunk;
-  constexpr std::size_t kChunk = 1 << 14;
-  chunk.reserve(kChunk);
-  for_each_gnp_edge(n, p, rng, [&](VertexId u, VertexId v) {
-    chunk.push_back({u, v});
-    if (chunk.size() == kChunk) {
-      builder.add_edges(chunk);
-      chunk.clear();
-    }
-  });
-  builder.add_edges(chunk);
-  return std::move(builder).build();
-}
-
-Graph gnp_avg_degree(VertexId n, double avg_deg, Rng& rng) {
-  if (n < 2) return empty(n);
-  return gnp(n, gnp_probability_for_avg_degree(n, avg_deg), rng);
-}
-
-Graph gnp_csr(VertexId n, double p, Rng& rng) {
-  if (p <= 0.0 || n < 2) {
-    util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
-    return Graph::from_csr(n, std::move(offsets), {});
-  }
-  if (p >= 1.0) return detail::complete_csr(n);
-  // Pass 1 on a copy of the RNG: count degrees.
-  util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
-  std::uint64_t m = 0;
-  {
-    std::vector<std::uint32_t> deg(n, 0);
-    Rng probe = rng;
-    for_each_gnp_edge(n, p, probe, [&](VertexId u, VertexId v) {
-      ++deg[u];
-      ++deg[v];
-      ++m;
-    });
-    checked_edge_count(m, "gnp_csr");
-    for (VertexId v = 0; v < n; ++v) {
-      offsets[std::uint64_t{v} + 1] = offsets[v] + deg[v];
-    }
-  }
-  // Pass 2 replays the identical draw sequence on the caller's RNG
-  // (leaving it in the same final state as gnp) and scatters into the
-  // adjacency array. The stream is v-major with ascending coordinates,
-  // so every vertex's range comes out sorted: u < x entries land while
-  // the stream is at v == x, all v > x entries after, each ascending.
-  util::PodVector<VertexId> adjacency;
-  adjacency.resize(offsets[n]);
-  std::vector<CsrOffset> cursor(offsets.begin(), offsets.end() - 1);
-  for_each_gnp_edge(n, p, rng, [&](VertexId u, VertexId v) {
-    adjacency[cursor[u]++] = v;
-    adjacency[cursor[v]++] = u;
-  });
-  return Graph::from_csr(n, std::move(offsets), std::move(adjacency));
-}
-
-Graph gnp_avg_degree_csr(VertexId n, double avg_deg, Rng& rng) {
-  if (n < 2) return gnp_csr(n, 0.0, rng);
-  return gnp_csr(n, gnp_probability_for_avg_degree(n, avg_deg), rng);
 }
 
 Graph random_tree(VertexId n, Rng& rng) {
@@ -433,46 +343,8 @@ std::string family_name(Family family) {
   return "unknown";
 }
 
-std::vector<Schedule> all_schedules() {
-  return {Schedule::kLegacy, Schedule::kSharded};
-}
-
-std::string schedule_name(Schedule schedule) {
-  switch (schedule) {
-    case Schedule::kLegacy: return "legacy";
-    case Schedule::kSharded: return "sharded";
-  }
-  return "unknown";
-}
-
-bool schedule_from_name(const std::string& name, Schedule* out) {
-  for (const Schedule schedule : all_schedules()) {
-    if (schedule_name(schedule) == name) {
-      *out = schedule;
-      return true;
-    }
-  }
-  return false;
-}
-
 Graph make(Family family, VertexId n, std::uint64_t seed,
-           const MakeOptions& options) {
-  if (options.schedule == Schedule::kSharded) {
-    const ShardedGnpOptions sharded{options.pool, options.first_touch,
-                                    nullptr};
-    switch (family) {
-      case Family::kGnpSparse:
-        return gnp_avg_degree_sharded_csr(n, 8.0, seed, sharded);
-      case Family::kGnpDense:
-        return gnp_sharded_csr(n, 0.5, seed, sharded);
-      default:
-        break;  // every other family has a single schedule
-    }
-  }
-  return make(family, n, seed);
-}
-
-Graph make(Family family, VertexId n, std::uint64_t seed) {
+           const ShardedGnpOptions& gnp_options) {
   Rng rng(seed);
   const auto side = static_cast<VertexId>(std::max(
       2.0, std::round(std::sqrt(static_cast<double>(n)))));
@@ -496,8 +368,9 @@ Graph make(Family family, VertexId n, std::uint64_t seed) {
     case Family::kCaterpillar:
       return caterpillar(std::max<VertexId>(1, n / 4), 3);
     case Family::kCliqueChain: return clique_chain(n, 8);
-    case Family::kGnpSparse: return gnp_avg_degree(n, 8.0, rng);
-    case Family::kGnpDense: return gnp(n, 0.5, rng);
+    case Family::kGnpSparse:
+      return gnp_avg_degree_sharded_csr(n, 8.0, seed, gnp_options);
+    case Family::kGnpDense: return gnp_sharded_csr(n, 0.5, seed, gnp_options);
     case Family::kRandomTree: return random_tree(n, rng);
     case Family::kRandomRegular:
       return random_regular(n % 2 == 0 ? n : n + 1, 4, rng);

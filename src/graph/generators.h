@@ -11,25 +11,14 @@
 //
 // All generators are deterministic in (parameters, seed).
 //
-// Seed schedules for the G(n, p) family. There are two, and they
-// realize *different* (equally distributed) edge sets from the same
-// seed:
-//
-//  * Legacy single-stream (gnp / gnp_avg_degree / gnp_csr /
-//    gnp_avg_degree_csr): one Rng& consumed sequentially across the
-//    whole vertex triangle. Bit-reproducible given (n, p, rng state),
-//    but inherently serial — pair t+1's draw depends on pair t's.
-//  * Counter-based per-block (gnp_sharded_csr /
-//    gnp_avg_degree_sharded_csr): vertices are split into fixed-size
-//    blocks and block b draws from util::stream_rng(seed, b), a pure
-//    function of (seed, b). Blocks are independent, so the two CSR
-//    passes shard across a thread pool, and the output is bitwise
-//    identical at every lane count (including the pool-less serial
-//    path). Bit-reproducible given (n, p, seed).
-//
-// Cross-schedule runs agree statistically (same G(n, p) distribution;
-// tests/sharded_gen_test.cc holds the degree distributions together)
-// but never bitwise.
+// G(n, p) has one builder, gnp_sharded_csr (and its average-degree
+// companion): vertices are split into fixed-size blocks and block b
+// draws its rows of the vertex triangle from util::stream_rng(seed, b),
+// a pure function of (seed, b). Blocks are independent, so the two CSR
+// passes shard across a thread pool, and the output is bitwise
+// identical at every lane count (including the pool-less serial path).
+// Bit-reproducible given (n, p, seed). make() routes the gnp families
+// through it.
 #pragma once
 
 #include <cstdint>
@@ -85,33 +74,9 @@ Graph caterpillar(VertexId spine, VertexId legs);
 /// Disjoint union of n/k cliques of size k (plus one smaller remainder).
 Graph clique_chain(VertexId n, VertexId clique_size);
 
-/// Erdos-Renyi G(n, p).
-Graph gnp(VertexId n, double p, Rng& rng);
-
-/// Erdos-Renyi with expected average degree `avg_deg` (p = avg_deg/(n-1)).
-Graph gnp_avg_degree(VertexId n, double avg_deg, Rng& rng);
-
-/// Memory-diet G(n, p): the identical edge set (and final RNG state) as
-/// gnp(n, p, rng), but streamed straight into CSR with no edge-list
-/// stage — pass 1 counts degrees on a copy of the RNG, pass 2 replays
-/// the same skip sequence into the adjacency array. The result drops
-/// Graph::edges() (has_edge_list() == false), cutting peak memory from
-/// ~16 bytes/edge (CSR + staged edge list) to the CSR arrays alone;
-/// this is the 10^8-node path of bench_bulk_scaling --mem-diet.
-Graph gnp_csr(VertexId n, double p, Rng& rng);
-
-/// Memory-diet companion of gnp_avg_degree (p = avg_deg/(n-1)).
-Graph gnp_avg_degree_csr(VertexId n, double avg_deg, Rng& rng);
-
-/// The edge probability every gnp_avg_degree* variant derives from a
+/// The edge probability gnp_avg_degree_sharded_csr derives from a
 /// target average degree: min(1, avg_deg / (n - 1)). Requires n >= 2.
 double gnp_probability_for_avg_degree(VertexId n, double avg_deg);
-
-/// The edge-list reservation the legacy gnp builder makes for G(n, p):
-/// expected count plus four sigma of binomial slack, so the builder
-/// almost never reallocates (and never doubles peak memory at the
-/// 10M-node scale the bulk engine targets).
-std::size_t gnp_reserve_hint(VertexId n, double p);
 
 /// Optional instrumentation returned by the sharded builders.
 struct ShardedGnpStats {
@@ -138,17 +103,16 @@ struct ShardedGnpOptions {
   ShardedGnpStats* stats_out = nullptr;
 };
 
-/// Sharded memory-diet G(n, p): the counter-based per-block seed
-/// schedule (see the header comment), streamed straight into CSR with
-/// no edge-list stage, both passes parallel over the options' pool.
-/// Output is a pure function of (n, p, seed) — bitwise identical for
-/// every lane count including the serial pool-less path — but differs
-/// from gnp(n, p, Rng(seed)) realization-wise: the two schedules draw
-/// the triangle from different streams.
+/// Erdos-Renyi G(n, p): the counter-based per-block seed schedule (see
+/// the header comment), streamed straight into CSR with no edge-list
+/// stage, both passes parallel over the options' pool. Output is a
+/// pure function of (n, p, seed) — bitwise identical for every lane
+/// count including the serial pool-less path.
 Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
                       const ShardedGnpOptions& options = {});
 
-/// Sharded companion of gnp_avg_degree (p = avg_deg/(n-1)).
+/// Erdos-Renyi with expected average degree `avg_deg`
+/// (p = avg_deg/(n-1)).
 Graph gnp_avg_degree_sharded_csr(VertexId n, double avg_deg,
                                  std::uint64_t seed,
                                  const ShardedGnpOptions& options = {});
@@ -205,38 +169,10 @@ std::string family_name(Family family);
 
 /// Instantiates a family at size ~n with the given seed. The realized
 /// vertex count may differ slightly (e.g. hypercube rounds to 2^d).
-Graph make(Family family, VertexId n, std::uint64_t seed);
-
-/// Which G(n, p) seed schedule make() uses for the gnp families (see
-/// the header comment; other families have a single schedule and
-/// ignore the choice).
-enum class Schedule {
-  kLegacy,   // single-stream gnp / gnp_avg_degree
-  kSharded,  // counter-based per-block gnp_sharded_csr family
-};
-
-/// All schedules, for CLI enumeration.
-std::vector<Schedule> all_schedules();
-
-/// "legacy" / "sharded".
-std::string schedule_name(Schedule schedule);
-
-/// Parses a schedule_name() string; returns false on unknown input.
-bool schedule_from_name(const std::string& name, Schedule* out);
-
-struct MakeOptions {
-  Schedule schedule = Schedule::kLegacy;
-  /// Build-time parallelism + first-touch placement for the sharded
-  /// schedule (forwarded to ShardedGnpOptions); ignored by kLegacy.
-  util::ThreadPool* pool = nullptr;
-  bool first_touch = false;
-};
-
-/// make() with an explicit generation schedule. kSharded routes the
-/// gnp families through the sharded builders (the returned graphs are
-/// memory-diet: has_edge_list() is false) and leaves every other
-/// family untouched.
+/// The gnp families come from gnp_avg_degree_sharded_csr /
+/// gnp_sharded_csr, built with `gnp_options` (pool, first touch); every
+/// other family ignores them.
 Graph make(Family family, VertexId n, std::uint64_t seed,
-           const MakeOptions& options);
+           const ShardedGnpOptions& gnp_options = {});
 
 }  // namespace slumber::gen

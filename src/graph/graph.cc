@@ -37,11 +37,10 @@ Graph::Graph(VertexId n, std::vector<Edge> edges) : n_(n) {
   }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  edges_ = std::move(edges);
-  num_edges_ = edges_.size();
+  num_edges_ = edges.size();
 
   std::vector<std::uint32_t> deg(n, 0);
-  for (const Edge& e : edges_) {
+  for (const Edge& e : edges) {
     ++deg[e.u];
     ++deg[e.v];
   }
@@ -50,7 +49,7 @@ Graph::Graph(VertexId n, std::vector<Edge> edges) : n_(n) {
   adjacency_.resize(offsets_[n]);
 
   std::vector<CsrOffset> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : edges_) {
+  for (const Edge& e : edges) {
     adjacency_[cursor[e.u]++] = e.v;
     adjacency_[cursor[e.v]++] = e.u;
   }
@@ -64,13 +63,17 @@ Graph::Graph(VertexId n, std::vector<Edge> edges) : n_(n) {
   }
 }
 
-const std::vector<Edge>& Graph::edges() const {
-  if (!has_edge_list_) {
-    throw std::logic_error(
-        "Graph::edges: edge list dropped (memory-diet CSR graph); iterate "
-        "neighbors() with u < v instead");
+std::vector<Edge> Graph::edges() const {
+  // Up-entries in CSR order: u ascending, then each range's v > u
+  // ascending — the sorted, normalized order EdgeId indexes.
+  std::vector<Edge> out;
+  out.reserve(num_edges_);
+  for (VertexId u = 0; u < n_; ++u) {
+    for (const VertexId v : neighbors(u)) {
+      if (v > u) out.push_back({u, v});
+    }
   }
-  return edges_;
+  return out;
 }
 
 Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
@@ -84,7 +87,6 @@ Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
   Graph g;
   g.n_ = n;
   g.num_edges_ = adjacency.size() / 2;
-  g.has_edge_list_ = false;
   g.offsets_ = std::move(offsets);
   g.adjacency_ = std::move(adjacency);
   // Per-vertex checks: monotone in-bounds offsets, each range sorted
@@ -217,28 +219,37 @@ std::pair<Graph, std::vector<VertexId>> Graph::induced(
     if (it == to_new.end() || it->first != original) return -1;
     return it->second;
   };
+  // Walk the subset's up-entries: each kept edge {u, v}, u < v, is
+  // visited once, from u. Ids >= n have no neighbors (they come out
+  // isolated).
   std::vector<Edge> sub_edges;
-  for (const Edge& e : edges_) {
-    const std::int64_t iu = lookup(e.u);
-    if (iu < 0) continue;
-    const std::int64_t iv = lookup(e.v);
-    if (iv < 0) continue;
-    sub_edges.push_back(
-        {static_cast<VertexId>(iu), static_cast<VertexId>(iv)});
+  for (const auto& [u, iu] : to_new) {
+    if (u >= n_) continue;
+    for (const VertexId v : neighbors(u)) {
+      if (v <= u) continue;
+      const std::int64_t iv = lookup(v);
+      if (iv < 0) continue;
+      sub_edges.push_back({iu, static_cast<VertexId>(iv)});
+    }
   }
   return {Graph(static_cast<VertexId>(to_original.size()), std::move(sub_edges)),
           std::move(to_original)};
 }
 
 Graph Graph::line_graph() const {
-  const auto m =
-      checked_vertex_count(edges_.size(), "Graph::line_graph");
+  const auto m = checked_vertex_count(num_edges_, "Graph::line_graph");
   // Bucket edge ids by endpoint; any two edge ids in the same bucket are
-  // adjacent in the line graph.
+  // adjacent in the line graph. Ids count up-entries in CSR order (the
+  // EdgeId order of edges()).
   std::vector<std::vector<EdgeId>> incident(n_);
-  for (EdgeId e = 0; e < m; ++e) {
-    incident[edges_[e].u].push_back(e);
-    incident[edges_[e].v].push_back(e);
+  EdgeId e = 0;
+  for (VertexId u = 0; u < n_; ++u) {
+    for (const VertexId v : neighbors(u)) {
+      if (v <= u) continue;
+      incident[u].push_back(e);
+      incident[v].push_back(e);
+      ++e;
+    }
   }
   GraphBuilder builder(m);
   for (VertexId v = 0; v < n_; ++v) {
@@ -253,8 +264,6 @@ Graph Graph::line_graph() const {
 }
 
 std::string Graph::summary() const {
-  // num_edges_, not edges_.size(): memory-diet graphs drop the edge
-  // list but still know their edge count.
   return "n=" + std::to_string(n_) + " m=" + std::to_string(num_edges_) +
          " maxdeg=" + std::to_string(max_degree_);
 }

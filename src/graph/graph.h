@@ -27,8 +27,10 @@ namespace slumber {
 /// against counts that would wrap (see checked_vertex_count below).
 using VertexId = std::uint32_t;
 
-/// Identifier of an undirected edge (index into Graph::edges()).
-/// Graph construction throws if an edge set would overflow this type.
+/// Identifier of an undirected edge: its index in Graph::edges(), i.e.
+/// in the order of the CSR's up-entries (u ascending, then each
+/// neighbor v > u ascending). Graph construction throws if an edge set
+/// would overflow this type.
 using EdgeId = std::uint32_t;
 
 /// CSR offset type. Explicitly 64-bit (not size_t, which is 32-bit on
@@ -60,17 +62,15 @@ class Graph {
   /// Endpoints must be < n.
   Graph(VertexId n, std::vector<Edge> edges);
 
-  /// Memory-diet construction straight from CSR arrays, retaining NO
-  /// edge list (has_edge_list() is false and edges() throws
-  /// std::logic_error). `offsets` must have n+1 entries with
-  /// offsets[0] == 0 and offsets[n] == adjacency.size(); every
-  /// adjacency range must be sorted ascending with in-range endpoints
-  /// and no self-loops or duplicates, and edge {u,v} must appear in
-  /// both endpoint ranges (all validated, throws std::invalid_argument).
-  /// This is the 10^8-node path: peak memory is the CSR arrays
-  /// themselves, skipping the ~8 bytes/edge staging list of
-  /// GraphBuilder (see gen::gnp_csr / gen::gnp_sharded_csr). The arrays
-  /// are util::PodVector so producers can size them without a serial
+  /// Construction straight from CSR arrays. `offsets` must have n+1
+  /// entries with offsets[0] == 0 and offsets[n] == adjacency.size();
+  /// every adjacency range must be sorted ascending with in-range
+  /// endpoints and no self-loops or duplicates, and edge {u,v} must
+  /// appear in both endpoint ranges (all validated, throws
+  /// std::invalid_argument). This is the 10^8-node path: peak memory is
+  /// the CSR arrays themselves, skipping the ~8 bytes/edge staging list
+  /// of GraphBuilder (see gen::gnp_sharded_csr). The arrays are
+  /// util::PodVector so producers can size them without a serial
   /// zero-fill and first-touch pages from the lanes that will scan them
   /// (util::sharded_fill).
   ///
@@ -93,10 +93,6 @@ class Graph {
 
   VertexId num_vertices() const { return n_; }
   std::size_t num_edges() const { return num_edges_; }
-
-  /// False for memory-diet graphs built by from_csr: the CSR arrays are
-  /// authoritative and edges() is unavailable.
-  bool has_edge_list() const { return has_edge_list_; }
 
   /// Degree of vertex v.
   std::uint32_t degree(VertexId v) const {
@@ -130,10 +126,11 @@ class Graph {
   /// True iff {u, v} is an edge.
   bool has_edge(VertexId u, VertexId v) const { return port_to(u, v) >= 0; }
 
-  /// The normalized, sorted edge list. Throws std::logic_error on a
-  /// memory-diet graph (see from_csr / has_edge_list); iterate the CSR
-  /// via neighbors() with u < v there instead.
-  const std::vector<Edge>& edges() const;
+  /// The normalized, sorted edge list, built from the CSR on each call:
+  /// O(m) time and memory, returned by value. Callers that index it in
+  /// a loop take one copy before the loop; scans that only need each
+  /// edge once iterate neighbors() with u < v instead.
+  std::vector<Edge> edges() const;
 
   /// True iff the vertex has no incident edges.
   bool is_isolated(VertexId v) const { return degree(v) == 0; }
@@ -153,9 +150,8 @@ class Graph {
 
   /// True iff this and `other` have bitwise-identical CSR arrays (same
   /// vertex count, offsets, and adjacency) — equal topology with equal
-  /// port numbering, regardless of whether either retains an edge
-  /// list. The determinism gates of the sharded generators compare
-  /// lane-count variants with this.
+  /// port numbering. The determinism gates of the sharded generators
+  /// compare lane-count variants with this.
   bool same_csr(const Graph& other) const {
     return n_ == other.n_ && offsets_ == other.offsets_ &&
            adjacency_ == other.adjacency_;
@@ -168,11 +164,8 @@ class Graph {
   VertexId n_ = 0;
   std::uint32_t max_degree_ = 0;
   std::uint64_t num_edges_ = 0;
-  bool has_edge_list_ = true;
   util::PodVector<CsrOffset> offsets_;   // size n_+1
   util::PodVector<VertexId> adjacency_;  // size 2|E|
-  std::vector<Edge> edges_;              // sorted, normalized; empty when
-                                         // has_edge_list_ is false
 };
 
 /// Narrows a 64-bit vertex count to VertexId, throwing std::overflow_error

@@ -11,8 +11,8 @@ namespace slumber::io {
 namespace {
 
 /// Streams every edge as (u, v) with u < v in sorted (u, v) order —
-/// identical to iterating Graph::edges(), but off the CSR arrays, so
-/// the writers also accept memory-diet graphs (has_edge_list() false).
+/// identical to iterating Graph::edges(), but off the CSR arrays, with
+/// no O(m) edge-list copy.
 template <typename Fn>
 void for_each_edge_sorted(const Graph& g, Fn&& fn) {
   for (VertexId u = 0; u < g.num_vertices(); ++u) {

@@ -1,17 +1,17 @@
 // Sharded G(n, p) generation: counter-based per-block RNG streams and
 // a parallel two-pass CSR build.
 //
-// The legacy gnp/gnp_csr builders consume one RNG stream sequentially
-// across the whole vertex triangle, which makes generation inherently
-// serial — at n = 10^8 the build is ~40% of a bulk trial's wall time.
-// Here the triangle's rows are split into fixed-size vertex blocks
-// (kBlockVertices rows per block, a constant — never a function of the
-// lane count), and block b enumerates the G(n, p) pairs whose higher
-// endpoint lies in its rows from its own counter-based stream,
-// util::stream_rng(seed, b). Because each stream is a pure function of
-// (seed, b) and each unordered pair belongs to exactly one block, the
-// sampled edge set is a pure function of (n, p, seed): lane counts,
-// block claim order, and interleaving cannot change it.
+// One RNG stream consumed sequentially across the whole vertex
+// triangle would make generation inherently serial — at n = 10^8 the
+// build is ~40% of a bulk trial's wall time. Here the triangle's rows
+// are split into fixed-size vertex blocks (kBlockVertices rows per
+// block, a constant — never a function of the lane count), and block b
+// enumerates the G(n, p) pairs whose higher endpoint lies in its rows
+// from its own counter-based stream, util::stream_rng(seed, b). Because
+// each stream is a pure function of (seed, b) and each unordered pair
+// belongs to exactly one block, the sampled edge set is a pure function
+// of (n, p, seed): lane counts, block claim order, and interleaving
+// cannot change it.
 //
 // Determinism of the *CSR layout* needs one more step. A vertex x's
 // adjacency range is [down-neighbors u < x][up-neighbors v > x], both
@@ -49,10 +49,10 @@
 // layout so pages land near the lanes that later scan them.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 
 #include "graph/generators.h"
-#include "graph/gnp_detail.h"
 #include "obs/obs.h"
 #include "util/alloc.h"
 #include "util/stream_rng.h"
@@ -61,6 +61,53 @@
 namespace slumber::gen {
 
 namespace {
+
+/// Batagelj-Brandes geometric-skipping enumeration of the G(n, p) pairs
+/// whose higher endpoint v lies in [row_begin, row_end): streams every
+/// sampled edge (u, v) with u < v to `fn`, v-major with both
+/// coordinates ascending. O(rows + edges) expected; requires
+/// 0 < p < 1. Restarting at a row boundary is distribution-exact (the
+/// underlying per-pair Bernoulli process is memoryless), which is what
+/// lets every vertex block have its own stream.
+template <typename Fn>
+void for_each_gnp_edge_rows(VertexId row_begin, VertexId row_end, double p,
+                            Rng& rng, Fn&& fn) {
+  const double log1mp = std::log1p(-p);
+  std::int64_t v = row_begin < 1 ? 1 : static_cast<std::int64_t>(row_begin);
+  std::int64_t w = -1;
+  const auto vend = static_cast<std::int64_t>(row_end);
+  while (v < vend) {
+    const double r = rng.uniform();
+    w += 1 + static_cast<std::int64_t>(std::floor(std::log1p(-r) / log1mp));
+    while (w >= v && v < vend) {
+      w -= v;
+      ++v;
+    }
+    if (v < vend) fn(static_cast<VertexId>(w), static_cast<VertexId>(v));
+  }
+}
+
+/// K_n streamed straight into CSR (the p >= 1 degenerate case).
+Graph complete_csr(VertexId n) {
+  // Fill-constructed (not resize): PodVector::resize skips
+  // initialization, and the n < 2 return below must hand from_csr
+  // all-zero offsets.
+  util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
+  if (n < 2) {
+    return Graph::from_csr(n, std::move(offsets), {});
+  }
+  checked_edge_count(std::uint64_t{n} * (n - 1) / 2, "complete_csr");
+  util::PodVector<VertexId> adjacency;
+  adjacency.resize(std::uint64_t{n} * (n - 1));
+  CsrOffset next = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    offsets[std::uint64_t{v} + 1] = offsets[v] + (std::uint64_t{n} - 1);
+    for (VertexId u = 0; u < n; ++u) {
+      if (u != v) adjacency[next++] = u;
+    }
+  }
+  return Graph::from_csr(n, std::move(offsets), std::move(adjacency));
+}
 
 /// Rows per counter-keyed stream. A constant so the edge set depends
 /// only on (n, p, seed): at n = 10^8 this yields ~24k blocks (ample
@@ -86,7 +133,7 @@ Rng replay_block(VertexId n, double p, std::uint64_t seed, std::uint64_t b,
   const VertexId lo = static_cast<VertexId>(b * kBlockVertices);
   const VertexId hi = static_cast<VertexId>(
       std::min<std::uint64_t>(n, (b + 1) * kBlockVertices));
-  detail::for_each_gnp_edge_rows(lo, hi, p, rng, fn);
+  for_each_gnp_edge_rows(lo, hi, p, rng, fn);
   return rng;
 }
 
@@ -115,7 +162,7 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
     util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
     return Graph::from_csr(n, std::move(offsets), {}, options.pool);
   }
-  if (p >= 1.0) return detail::complete_csr(n);
+  if (p >= 1.0) return complete_csr(n);
 
   util::ThreadPool* pool = options.pool;
   const std::uint64_t blocks = block_count(n);

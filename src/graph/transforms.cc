@@ -73,8 +73,9 @@ Graph subdivision(const Graph& g) {
   const VertexId n = g.num_vertices();
   const auto m = static_cast<VertexId>(g.num_edges());
   GraphBuilder builder(n + m);
+  const std::vector<Edge> edges = g.edges();
   for (EdgeId e = 0; e < m; ++e) {
-    const Edge edge = g.edges()[e];
+    const Edge edge = edges[e];
     const VertexId x = n + e;
     builder.add_edge(edge.u, x);
     builder.add_edge(x, edge.v);

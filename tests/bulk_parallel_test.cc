@@ -108,8 +108,7 @@ INSTANTIATE_TEST_SUITE_P(Generators, BulkParallelCrossValidation,
 // --- recursion traces shard-invariantly ------------------------------
 
 TEST(BulkParallelTrace, RecursionTraceMatchesAtEveryLaneCount) {
-  Rng rng(7);
-  const Graph g = gen::gnp_avg_degree(400, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 7);
   core::RecursionTrace serial_trace;
   const auto serial =
       run_bulk_mis(MisEngine::kSleeping, g, 7, nullptr, &serial_trace);
@@ -142,8 +141,7 @@ TEST(BulkParallelTrace, RecursionTraceMatchesAtEveryLaneCount) {
 
 TEST(BulkParallelBaselines, IsraeliItaiAgreesAcrossLaneCounts) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(200, 5.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(200, 5.0, seed);
     bulk::BulkIsraeliItai serial_protocol;
     const auto serial =
         bulk::run_bulk(g, seed, serial_protocol, parallel_options(g, nullptr));
@@ -161,8 +159,7 @@ TEST(BulkParallelBaselines, IsraeliItaiAgreesAcrossLaneCounts) {
 
 TEST(BulkParallelBaselines, BeepingMisAgreesAcrossLaneCounts) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(120, 4.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(120, 4.0, seed);
     bulk::BulkOptions base;
     base.max_message_bits = 1;
     base.parallel_cutoff = 1;
@@ -187,8 +184,7 @@ TEST(BulkParallelRunMis, PoolParameterIsBitwiseInvariant) {
   // n = 10,000 exceeds the default parallel_cutoff, so the big frames
   // genuinely shard while the deep tiny frames take the serial path —
   // both paths must agree with the pool-less run.
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(10000, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(10000, 8.0, 5);
   const auto serial =
       analysis::run_mis(MisEngine::kSleeping, g, 5, {.exec = ExecEngine::kBulk});
   util::ThreadPool pool(4);
@@ -203,8 +199,7 @@ TEST(BulkParallelRunMis, PoolParameterIsBitwiseInvariant) {
 // --- memory diet: dropped per-node metrics ---------------------------
 
 TEST(BulkMemoryDiet, NodeMetricsOffKeepsOutputsAndAggregates) {
-  Rng rng(11);
-  const Graph g = gen::gnp_avg_degree(2000, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(2000, 8.0, 11);
   const auto full = run_bulk_mis(MisEngine::kSleeping, g, 11, nullptr);
   for (const unsigned lanes : {1u, 4u}) {
     util::ThreadPool pool(lanes);
@@ -229,42 +224,25 @@ TEST(BulkMemoryDiet, NodeMetricsOffKeepsOutputsAndAggregates) {
   }
 }
 
-// --- memory-diet graphs: streaming CSR construction ------------------
-
-TEST(BulkMemoryDiet, GnpCsrMatchesGnpBitwise) {
-  for (const VertexId n : {2u, 97u, 4000u}) {
-    Rng rng_list(n);
-    Rng rng_csr(n);
-    const Graph a = gen::gnp_avg_degree(n, 8.0, rng_list);
-    const Graph b = gen::gnp_avg_degree_csr(n, 8.0, rng_csr);
-    ASSERT_EQ(a.num_vertices(), b.num_vertices());
-    EXPECT_EQ(a.num_edges(), b.num_edges());
-    EXPECT_EQ(a.max_degree(), b.max_degree());
-    for (VertexId v = 0; v < n; ++v) {
-      ASSERT_EQ(a.degree(v), b.degree(v)) << "n=" << n << " v=" << v;
-      const auto na = a.neighbors(v);
-      const auto nb = b.neighbors(v);
-      ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-          << "n=" << n << " v=" << v;
-    }
-    // Both generators must leave the caller's RNG in the same state.
-    EXPECT_EQ(rng_list.next(), rng_csr.next()) << "n=" << n;
-    EXPECT_TRUE(a.has_edge_list());
-    EXPECT_FALSE(b.has_edge_list());
-    EXPECT_THROW(b.edges(), std::logic_error);
-  }
-}
+// --- CSR construction: builder output and edge-list round trip -----
 
 TEST(BulkMemoryDiet, CsrGraphRunsIdenticallyToEdgeListGraph) {
-  Rng rng_list(3);
-  Rng rng_csr(3);
-  const Graph a = gen::gnp_avg_degree(1500, 8.0, rng_list);
-  const Graph b = gen::gnp_avg_degree_csr(1500, 8.0, rng_csr);
-  const auto run_a = run_bulk_mis(MisEngine::kSleeping, a, 3, nullptr);
-  const auto run_b = run_bulk_mis(MisEngine::kSleeping, b, 3, nullptr);
-  EXPECT_EQ(run_a.outputs, run_b.outputs);
-  ExpectMetricsEqual(run_a.metrics, run_b.metrics);
-  EXPECT_TRUE(analysis::check_mis(b, run_b.outputs).ok());
+  // The builder's CSR and the graph rebuilt from its edges() must be
+  // the same graph, port for port, so a bulk run cannot tell them apart.
+  for (const VertexId n : {2u, 97u, 4000u}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    const Graph built = gen::gnp_avg_degree_sharded_csr(n, 8.0, n);
+    const Graph rebuilt(n, built.edges());
+    EXPECT_TRUE(rebuilt.same_csr(built));
+    EXPECT_EQ(rebuilt.max_degree(), built.max_degree());
+    const auto run_built =
+        run_bulk_mis(MisEngine::kSleeping, built, n, nullptr);
+    const auto run_rebuilt =
+        run_bulk_mis(MisEngine::kSleeping, rebuilt, n, nullptr);
+    EXPECT_EQ(run_built.outputs, run_rebuilt.outputs);
+    ExpectMetricsEqual(run_built.metrics, run_rebuilt.metrics);
+    EXPECT_TRUE(analysis::check_mis(built, run_built.outputs).ok());
+  }
 }
 
 // Every from_csr case runs pool-less and through a 4-lane pool: the
@@ -318,7 +296,6 @@ TEST(BulkMemoryDiet, FromCsrValidatesShape) {
     EXPECT_EQ(p.num_edges(), 2u);
     EXPECT_EQ(p.degree(1), 2u);
     EXPECT_EQ(p.max_degree(), 2u);
-    EXPECT_FALSE(p.has_edge_list());
   });
 }
 

@@ -15,7 +15,6 @@
 #include "algos/edge_coloring.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace slumber {
 namespace {
@@ -63,11 +62,11 @@ bool check_edge_coloring_reference(const Graph& g,
   for (std::int64_t c : colors) {
     if (c < 0 || c >= palette) return false;
   }
+  const std::vector<Edge> edges = g.edges();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     std::unordered_set<std::int64_t> seen;
     for (VertexId u : g.neighbors(v)) {
       const Edge e = u < v ? Edge{u, v} : Edge{v, u};
-      const auto& edges = g.edges();
       const auto it = std::lower_bound(edges.begin(), edges.end(), e);
       const auto eid = static_cast<EdgeId>(it - edges.begin());
       if (!seen.insert(colors[eid]).second) return false;
@@ -84,8 +83,7 @@ std::vector<VertexId> every_other_vertex(const Graph& g) {
 
 TEST(DeterminismContainerTest, InducedMatchesHashMapReferenceOnSeededGnp) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    Graph g = gen::gnp_avg_degree(200, 6.0, rng);
+    Graph g = gen::gnp_avg_degree_sharded_csr(200, 6.0, seed);
     const auto keep = every_other_vertex(g);
     auto [sub, mapping] = g.induced(keep);
     auto [ref_sub, ref_mapping] = induced_reference(g, keep);
@@ -98,8 +96,7 @@ TEST(DeterminismContainerTest, InducedMatchesHashMapReferenceOnSeededGnp) {
 TEST(DeterminismContainerTest, InducedMatchesReferenceOnUnsortedSubset) {
   // The subset order defines the relabeling; feed a deliberately
   // shuffled subset so mapping-by-position is actually exercised.
-  Rng rng(77);
-  Graph g = gen::gnp_avg_degree(128, 8.0, rng);
+  Graph g = gen::gnp_avg_degree_sharded_csr(128, 8.0, 77);
   std::vector<VertexId> keep = {90, 3, 17, 64, 2, 127, 55, 4, 31, 8};
   auto [sub, mapping] = g.induced(keep);
   auto [ref_sub, ref_mapping] = induced_reference(g, keep);
@@ -115,8 +112,7 @@ TEST(DeterminismContainerTest, InducedStillRejectsDuplicates) {
 
 TEST(DeterminismContainerTest, ColorsUsedMatchesHashSetReference) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    Graph g = gen::gnp_avg_degree(60, 4.0, rng);
+    Graph g = gen::gnp_avg_degree_sharded_csr(60, 4.0, seed);
     auto result = algos::edge_coloring_via_line_graph(g, seed);
     EXPECT_EQ(result.colors_used, colors_used_reference(result.colors))
         << "seed " << seed;
@@ -125,8 +121,7 @@ TEST(DeterminismContainerTest, ColorsUsedMatchesHashSetReference) {
 
 TEST(DeterminismContainerTest, CheckEdgeColoringMatchesReference) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    Graph g = gen::gnp_avg_degree(60, 4.0, rng);
+    Graph g = gen::gnp_avg_degree_sharded_csr(60, 4.0, seed);
     auto result = algos::edge_coloring_via_line_graph(g, seed);
     // Valid coloring: both agree it checks out.
     EXPECT_TRUE(algos::check_edge_coloring(g, result.colors));
@@ -135,9 +130,10 @@ TEST(DeterminismContainerTest, CheckEdgeColoringMatchesReference) {
     // Corrupt one edge to collide with a same-endpoint neighbor: both
     // implementations must reject identically.
     auto corrupted = result.colors;
-    const Edge e0 = g.edges()[0];
+    const std::vector<Edge> edges = g.edges();
+    const Edge e0 = edges[0];
     for (std::size_t eid = 1; eid < corrupted.size(); ++eid) {
-      const Edge e = g.edges()[eid];
+      const Edge e = edges[eid];
       if (e.u == e0.u || e.v == e0.u || e.u == e0.v || e.v == e0.v) {
         corrupted[eid] = result.colors[0];
         break;

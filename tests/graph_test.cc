@@ -1,9 +1,13 @@
 // Unit tests for the CSR graph substrate.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
+#include "graph/generators.h"
 #include "graph/graph.h"
+#include "util/rng.h"
 
 namespace slumber {
 namespace {
@@ -67,7 +71,7 @@ TEST(GraphTest, OutOfRangeEndpointRejected) {
 
 TEST(GraphTest, EdgesNormalizedAndSorted) {
   Graph g(4, {{3, 2}, {1, 0}, {2, 0}});
-  const auto& edges = g.edges();
+  const std::vector<Edge> edges = g.edges();
   ASSERT_EQ(edges.size(), 3u);
   EXPECT_EQ(edges[0], (Edge{0, 1}));
   EXPECT_EQ(edges[1], (Edge{0, 2}));
@@ -95,6 +99,52 @@ TEST(GraphTest, InducedDuplicateVertexRejected) {
   Graph g(3, {{0, 1}});
   const std::vector<VertexId> dup = {0, 0};
   EXPECT_THROW(g.induced(dup), std::invalid_argument);
+}
+
+// induced() and line_graph() on a graph built straight from CSR (the
+// G(n, p) builder's output), against the edge-list definitions.
+TEST(GraphTest, InducedOnAllVerticesOfCsrGraphIsTheGraph) {
+  const Graph g = gen::gnp_avg_degree_sharded_csr(200, 8.0, 1);
+  ASSERT_GT(g.num_edges(), 0u);
+  std::vector<VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  auto [sub, mapping] = g.induced(all);
+  EXPECT_EQ(mapping, all);
+  EXPECT_EQ(sub.num_edges(), g.num_edges());
+  EXPECT_TRUE(sub.same_csr(g));
+}
+
+TEST(GraphTest, InducedSubsetOfCsrGraphMatchesFilteredEdges) {
+  const Graph g = gen::gnp_avg_degree_sharded_csr(200, 8.0, 2);
+  Rng rng(2);
+  std::vector<VertexId> keep;
+  std::vector<VertexId> new_id(g.num_vertices(), kInvalidVertex);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (rng.coin()) {
+      new_id[v] = static_cast<VertexId>(keep.size());
+      keep.push_back(v);
+    }
+  }
+  std::vector<Edge> filtered;
+  for (const Edge& e : g.edges()) {
+    if (new_id[e.u] != kInvalidVertex && new_id[e.v] != kInvalidVertex) {
+      filtered.push_back({new_id[e.u], new_id[e.v]});
+    }
+  }
+  ASSERT_FALSE(filtered.empty());
+  auto [sub, mapping] = g.induced(keep);
+  EXPECT_EQ(mapping, keep);
+  const Graph expected(static_cast<VertexId>(keep.size()), filtered);
+  EXPECT_TRUE(sub.same_csr(expected));
+}
+
+TEST(GraphTest, LineGraphOfCsrGraphMatchesEdgeListGraph) {
+  const Graph g = gen::gnp_avg_degree_sharded_csr(200, 8.0, 3);
+  ASSERT_GT(g.num_edges(), 0u);
+  const Graph line = g.line_graph();
+  EXPECT_EQ(line.num_vertices(), g.num_edges());
+  EXPECT_TRUE(
+      line.same_csr(Graph(g.num_vertices(), g.edges()).line_graph()));
 }
 
 TEST(GraphTest, LineGraphOfTriangleIsTriangle) {

@@ -1,4 +1,4 @@
-// Determinism and distribution tests for the sharded G(n, p) builders
+// Determinism and distribution tests for the G(n, p) builder
 // (gen::gnp_sharded_csr family, src/graph/sharded_gnp.cc).
 //
 // The central contract: the sharded generator's output is a pure
@@ -8,10 +8,8 @@
 // lane matrix here runs under the tsan CI job, so every cross-block
 // atomic path is also a ThreadSanitizer workload.
 //
-// The two seed schedules (legacy single-stream vs counter-based
-// per-block) never agree bitwise; the distribution suite holds their
-// degree distributions together with a chi-square-style statistic
-// against the exact Binomial(n-1, p) law.
+// The distribution suite holds the degree distribution to the exact
+// Binomial(n-1, p) law with a chi-square-style statistic.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -56,7 +54,6 @@ TEST(ShardedGen, BitwiseIdenticalAcrossLaneCounts) {
       ref_options.stats_out = &ref_stats;
       const Graph reference =
           gen::gnp_avg_degree_sharded_csr(n, 8.0, seed, ref_options);
-      EXPECT_FALSE(reference.has_edge_list());
       for (const unsigned lanes : kLaneCounts) {
         SCOPED_TRACE(testing::Message()
                      << "n=" << n << " seed=" << seed << " lanes=" << lanes);
@@ -195,7 +192,7 @@ TEST(StreamRng, AdjacentCountersDecorrelate) {
   EXPECT_EQ(agree_ac, 0);
 }
 
-// --- distribution equivalence with the legacy schedule ---------------
+// --- distribution of the realized graphs -----------------------------
 
 // Chi-square-style statistic of an empirical degree histogram against
 // the exact Binomial(n-1, p) law, pooling bins with expected count
@@ -243,66 +240,38 @@ TEST(ShardedGen, DegreeDistributionMatchesLegacySchedule) {
   // schedule, whose statistic explodes by orders of magnitude.
   constexpr double kThreshold = 80.0;
   for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
-    const Graph sharded = gen::gnp_avg_degree_sharded_csr(kN, 8.0, seed);
-    Rng rng(seed);
-    const Graph legacy = gen::gnp_avg_degree(kN, 8.0, rng);
-    const double sharded_stat = DegreeChiSquare(sharded, p);
-    const double legacy_stat = DegreeChiSquare(legacy, p);
-    EXPECT_LT(sharded_stat, kThreshold) << "seed=" << seed;
-    EXPECT_LT(legacy_stat, kThreshold) << "seed=" << seed;
-    // Edge totals are Binomial(C(n,2), p): mean 80k, sigma ~283. Both
-    // schedules must land within 5 sigma.
+    const Graph g = gen::gnp_avg_degree_sharded_csr(kN, 8.0, seed);
+    EXPECT_LT(DegreeChiSquare(g, p), kThreshold) << "seed=" << seed;
+    // Edge totals are Binomial(C(n,2), p): mean 80k, sigma ~283. The
+    // realization must land within 5 sigma.
     const double mean =
         p * 0.5 * static_cast<double>(kN) * static_cast<double>(kN - 1);
     const double sigma = std::sqrt(mean * (1.0 - p));
-    EXPECT_NEAR(static_cast<double>(sharded.num_edges()), mean, 5 * sigma);
-    EXPECT_NEAR(static_cast<double>(legacy.num_edges()), mean, 5 * sigma);
+    EXPECT_NEAR(static_cast<double>(g.num_edges()), mean, 5 * sigma);
   }
 }
 
-// --- make() schedule plumbing ----------------------------------------
+// --- make() routing ----------------------------------------------------
 
 TEST(ShardedGen, MakeRoutesGnpFamiliesThroughShardedSchedule) {
-  gen::MakeOptions options;
-  options.schedule = gen::Schedule::kSharded;
-  const Graph via_make =
-      gen::make(gen::Family::kGnpSparse, 3000, 17, options);
-  const Graph direct = gen::gnp_avg_degree_sharded_csr(3000, 8.0, 17);
-  ExpectSameCsr(via_make, direct);
-  EXPECT_FALSE(via_make.has_edge_list());
-  // Non-gnp families have one schedule; both spellings agree.
-  const Graph cycle_sharded =
-      gen::make(gen::Family::kCycle, 100, 1, options);
-  const Graph cycle_legacy = gen::make(gen::Family::kCycle, 100, 1);
-  ExpectSameCsr(cycle_sharded, cycle_legacy);
-}
-
-TEST(ShardedGen, ScheduleNamesRoundTrip) {
-  for (const gen::Schedule schedule : gen::all_schedules()) {
-    gen::Schedule parsed;
-    ASSERT_TRUE(gen::schedule_from_name(gen::schedule_name(schedule),
-                                        &parsed));
-    EXPECT_EQ(parsed, schedule);
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* path : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool}) {
+    SCOPED_TRACE(path == nullptr ? "pool-less" : "4-lane pool");
+    const gen::ShardedGnpOptions options{.pool = path};
+    ExpectSameCsr(gen::make(gen::Family::kGnpSparse, 3000, 17, options),
+                  gen::gnp_avg_degree_sharded_csr(3000, 8.0, 17));
+    ExpectSameCsr(gen::make(gen::Family::kGnpDense, 300, 17, options),
+                  gen::gnp_sharded_csr(300, 0.5, 17));
   }
-  gen::Schedule out;
-  EXPECT_FALSE(gen::schedule_from_name("zigzag", &out));
 }
 
-// --- shared gnp helpers (deduplicated across the gnp* variants) ------
+// --- shared gnp helpers ------------------------------------------------
 
 TEST(GnpHelpers, ProbabilityForAvgDegree) {
   EXPECT_DOUBLE_EQ(gen::gnp_probability_for_avg_degree(101, 8.0), 0.08);
   EXPECT_DOUBLE_EQ(gen::gnp_probability_for_avg_degree(2, 5.0), 1.0);
   EXPECT_DOUBLE_EQ(gen::gnp_probability_for_avg_degree(11, 0.0), 0.0);
-}
-
-TEST(GnpHelpers, ReserveHintCoversMeanPlusSlack) {
-  const std::size_t hint = gen::gnp_reserve_hint(1000, 8.0 / 999.0);
-  const double mean = (8.0 / 999.0) * 0.5 * 1000.0 * 999.0;
-  EXPECT_GE(hint, static_cast<std::size_t>(mean));
-  EXPECT_LE(hint, static_cast<std::size_t>(mean + 4 * std::sqrt(mean) + 17));
-  // Degenerate inputs stay sane.
-  EXPECT_GE(gen::gnp_reserve_hint(2, 0.5), 0u);
 }
 
 // --- first-touch in the bulk engine ----------------------------------

@@ -5,21 +5,14 @@
 // the coroutine back end the lanes shard independent trials of the
 // multi-seed commands (sweep); with `--engine bulk` they additionally
 // shard the per-round node scans *inside* single-trial commands (run,
-// beep). Results are bitwise identical for every N in both modes.
+// beep) and run's G(n, p) build. Results are bitwise identical for
+// every N in both modes.
 //
 // A global `--engine <coroutine|bulk>` flag selects the execution back
 // end for run / sweep / beep: the coroutine scheduler (default; every
 // MIS engine, fault injection, tracing) or the bulk flat-state engine
 // (sleeping / luby-a / luby-b / greedy, 10M+-node scale). The two are
 // bitwise interchangeable where they overlap.
-//
-// A global `--gen <legacy|sharded>` flag selects the G(n, p) seed
-// schedule for the gnp families (see graph/generators.h): legacy is
-// the single-stream generator, sharded the counter-based per-block
-// one, whose CSR build parallelizes over the --threads lanes under
-// --engine bulk and which produces memory-diet (CSR-only) graphs.
-// Commands that need the staged edge list (matching, edge-color,
-// ruling-set) reject --gen sharded with an explanation.
 //
 // Fault-injection flags (run / sweep / beep; see fault/fault.h) ride
 // the same global grammar: `--crash V@R` fail-stops node V at round R
@@ -104,32 +97,9 @@ namespace {
 
 using namespace slumber;
 
-// Shared flags (--engine / --gen / --threads / fault injection),
+// Shared flags (--engine / --threads / fault injection),
 // parsed once by analysis::parse_trial_flags.
 analysis::TrialSpec g_spec;
-
-/// Builds a graph under the global --gen schedule. `pool`, when
-/// non-null, shards a sharded-schedule build over its lanes.
-Graph make_cli_graph(const gen::Family family, const VertexId n,
-                     const std::uint64_t seed,
-                     util::ThreadPool* pool = nullptr) {
-  gen::MakeOptions options;
-  options.schedule = g_spec.schedule;
-  options.pool = pool;
-  return gen::make(family, n, seed, options);
-}
-
-/// Commands that reduce through the staged edge list cannot take
-/// memory-diet graphs; fail with an explanation instead of a throw.
-bool check_edge_list_schedule(const char* command) {
-  if (g_spec.schedule == gen::Schedule::kSharded) {
-    std::cerr << "error: " << command
-              << " needs an edge-list graph; --gen sharded builds CSR-only "
-                 "memory-diet graphs (use --gen legacy)\n";
-    return false;
-  }
-  return true;
-}
 
 using util::parse_uint;  // full-token std::from_chars validation
 
@@ -148,7 +118,7 @@ bool parse_vertex_count(std::string_view token, const char* what,
 int usage() {
   std::cerr <<
       "usage: slumber [--threads N] [--engine coroutine|bulk] "
-      "[--gen legacy|sharded] [--crash V@R] [--loss P] "
+      "[--crash V@R] [--loss P] "
       "[--loss-burst P_ON P_OFF LEN] [--churn P [--churn-batches K]] "
       "[--churn-live LEAVE JOIN] [--recover MEAN_DOWN] "
       "[--obs-out FILE.jsonl] [--obs-trace FILE.json] [--progress] "
@@ -210,13 +180,13 @@ bool check_bulk_support(const analysis::MisEngine engine) {
 int cmd_run(const analysis::MisEngine engine, const gen::Family family,
             const VertexId n, const std::uint64_t seed) {
   if (!check_bulk_support(engine)) return 2;
-  // --engine bulk shards this single trial's node scans — and, with
-  // --gen sharded, the graph build itself — over --threads lanes
-  // (default: all hardware threads); bitwise identical for any N.
+  // --engine bulk shards this single trial's node scans — and the
+  // G(n, p) build itself — over --threads lanes (default: all hardware
+  // threads); bitwise identical for any N.
   util::ThreadPool pool(g_spec.exec == analysis::ExecEngine::kBulk
                             ? analysis::default_trial_threads()
                             : 1);
-  const Graph g = make_cli_graph(family, n, seed, &pool);
+  const Graph g = gen::make(family, n, seed, {.pool = &pool});
   const auto bounds = arboricity_bounds(g);
   std::cout << "graph: " << g.summary() << " (" << gen::family_name(family)
             << ", arboricity in [" << bounds.lower << ", " << bounds.upper
@@ -289,10 +259,8 @@ int cmd_sweep(const analysis::MisEngine engine, const gen::Family family,
   std::vector<double> ns;
   std::vector<double> awake;
   for (VertexId n = 64; n <= max_n; n *= 4) {
-    gen::MakeOptions options;
-    options.schedule = g_spec.schedule;
     const auto agg = analysis::aggregate_mis(
-        engine, analysis::graph_factory(family, n, options), 7 * n, seeds,
+        engine, analysis::graph_factory(family, n), 7 * n, seeds,
         {.exec = g_spec.exec, .fault = g_spec.fault_or_null()});
     ns.push_back(n);
     awake.push_back(agg.node_avg_awake_mean);
@@ -321,7 +289,7 @@ int cmd_tree(const std::uint32_t levels) {
 
 int cmd_graph(const gen::Family family, const VertexId n,
               const std::uint64_t seed, const bool dot) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   if (dot) {
     io::write_dot(std::cout, g);
   } else {
@@ -332,7 +300,7 @@ int cmd_graph(const gen::Family family, const VertexId n,
 
 int cmd_trace(const analysis::MisEngine engine, const gen::Family family,
               const VertexId n, const std::uint64_t seed) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   sim::RingTrace trace(60);
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
@@ -358,7 +326,6 @@ int cmd_trace(const analysis::MisEngine engine, const gen::Family family,
 
 int cmd_matching(const analysis::MisEngine engine, const gen::Family family,
                  const VertexId n, const std::uint64_t seed) {
-  if (!check_edge_list_schedule("matching")) return 2;
   const Graph g = gen::make(family, n, seed);
   std::cout << "graph: " << g.summary() << ", line graph n = "
             << g.num_edges() << "\n";
@@ -376,7 +343,6 @@ int cmd_matching(const analysis::MisEngine engine, const gen::Family family,
 
 int cmd_edge_color(const gen::Family family, const VertexId n,
                    const std::uint64_t seed) {
-  if (!check_edge_list_schedule("edge-color")) return 2;
   const Graph g = gen::make(family, n, seed);
   const auto result = algos::edge_coloring_via_line_graph(g, seed);
   const bool valid = algos::check_edge_coloring(g, result.colors);
@@ -391,7 +357,6 @@ int cmd_edge_color(const gen::Family family, const VertexId n,
 int cmd_ruling_set(const analysis::MisEngine engine, const gen::Family family,
                    const VertexId n, const std::uint32_t k,
                    const std::uint64_t seed) {
-  if (!check_edge_list_schedule("ruling-set")) return 2;
   const Graph g = gen::make(family, n, seed);
   const auto result = algos::ruling_set_via_mis(g, k, seed, engine);
   const auto check = algos::check_ruling_set(g, result.rulers, k + 1, k);
@@ -415,7 +380,7 @@ int cmd_beep(const gen::Family family, const VertexId n,
                  "defined for the MIS engines; use run/sweep)\n";
     return 2;
   }
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   sim::Metrics metrics;
   std::vector<std::int64_t> outputs;
   if (g_spec.exec == analysis::ExecEngine::kBulk) {
@@ -449,7 +414,7 @@ int cmd_beep(const gen::Family family, const VertexId n,
 
 int cmd_leader(const gen::Family family, const VertexId n,
                const std::uint64_t seed) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   if (!is_connected(g)) {
     std::cerr << "leader: graph is disconnected; one leader per component\n";
   }
@@ -474,7 +439,7 @@ int cmd_leader(const gen::Family family, const VertexId n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Shared flags (--threads / --engine / --gen / --crash / --loss /
+  // Shared flags (--threads / --engine / --crash / --loss /
   // --churn) are valid anywhere; parse_trial_flags strips them and
   // leaves the positional arguments.
   std::vector<std::string> args(argv, argv + argc);
@@ -499,7 +464,6 @@ int main(int argc, char** argv) {
     obs_session.set_info("command", command);
     obs_session.set_info("cmdline", cmdline);
     obs_session.set_info("engine", analysis::exec_engine_name(g_spec.exec));
-    obs_session.set_info("gen", gen::schedule_name(g_spec.schedule));
     obs_session.set_info("threads",
                          std::to_string(analysis::default_trial_threads()));
   }
