@@ -29,11 +29,12 @@ sim::Task beeping_node(sim::Context& ctx, BeepingMisOptions options) {
   const std::uint32_t total_bits = random_bits + id_bits;
 
   for (std::uint64_t phase = 0; phase < phase_cap; ++phase) {
-    const bool candidate = ctx.rng().bernoulli(options.candidate_prob);
+    Rng rng = util::step_rng(ctx.seed(), ctx.id(), phase);
+    const bool candidate = rng.bernoulli(options.candidate_prob);
     // Composite rank: random bits then id, so adjacent candidates can
     // never tie and the independence argument needs no whp caveat.
     const std::uint64_t rank =
-        candidate ? (ctx.rng().below(std::uint64_t{1} << random_bits)
+        candidate ? (rng.below(std::uint64_t{1} << random_bits)
                      << id_bits) |
                         ctx.id()
                   : 0;

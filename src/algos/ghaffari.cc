@@ -29,7 +29,8 @@ sim::Task ghaffari_node(sim::Context& ctx, GhaffariOptions options) {
 
     // Round 2: marked nodes reveal themselves.
     const double p = std::ldexp(1.0, -static_cast<int>(exponent));
-    const bool marked = ctx.rng().bernoulli(p);
+    const bool marked =
+        util::step_rng(ctx.seed(), ctx.id(), iteration).bernoulli(p);
     sim::Inbox marks;
     if (marked) {
       marks = co_await ctx.broadcast(sim::Message::mark());

@@ -17,7 +17,7 @@ sim::Task greedy_coloring_node(sim::Context& ctx,
   const std::uint32_t color_bits = rank_bits;
 
   const std::uint64_t own_rank =
-      ctx.rng().below(std::uint64_t{1} << rank_bits);
+      util::rank_rng(ctx.seed(), ctx.id()).below(std::uint64_t{1} << rank_bits);
   if (options.ranks_out != nullptr) {
     (*options.ranks_out)[ctx.id()] = own_rank;
   }

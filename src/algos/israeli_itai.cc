@@ -32,13 +32,14 @@ sim::Task israeli_itai_node(sim::Context& ctx, IsraeliItaiOptions options) {
       co_return;
     }
     // Role coin: proposer (heads) or acceptor (tails), Israeli-Itai'86.
-    const bool proposer = ctx.rng().coin();
+    Rng rng = util::step_rng(ctx.seed(), ctx.id(), iteration);
+    const bool proposer = rng.coin();
 
     // Round 1: proposers send to one uniformly random active port.
     std::uint32_t proposed_port = 0;
     sim::Inbox proposals;
     if (proposer) {
-      std::uint64_t pick = ctx.rng().below(active_count);
+      std::uint64_t pick = rng.below(active_count);
       for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
         if (!active[p]) continue;
         if (pick == 0) {

@@ -17,7 +17,7 @@ sim::Task leader_node(sim::Context& ctx, LeaderElectionOptions options) {
       std::bit_width(std::max<std::uint64_t>(ctx.n(), 2) - 1));
 
   const std::uint64_t own_rank =
-      ctx.rng().below(std::uint64_t{1} << rank_bits);
+      util::rank_rng(ctx.seed(), ctx.id()).below(std::uint64_t{1} << rank_bits);
   std::uint64_t best_rank = own_rank;
   std::uint64_t best_id = ctx.id();
 

@@ -12,7 +12,9 @@ sim::Task luby_a_node(sim::Context& ctx, LubyOptions options) {
                                 : default_iteration_cap(ctx.n());
   for (std::uint64_t iteration = 0; iteration < cap; ++iteration) {
     // Fresh priority each iteration (Luby'86 permutation variant).
-    const std::uint64_t priority = ctx.rng().next() >> (64 - rank_bits);
+    const std::uint64_t priority =
+        util::step_rng(ctx.seed(), ctx.id(), iteration).next() >>
+        (64 - rank_bits);
     sim::Inbox inbox =
         co_await ctx.broadcast(sim::Message::rank(priority, rank_bits));
     bool win = true;
@@ -53,7 +55,8 @@ sim::Task luby_b_node(sim::Context& ctx, LubyOptions options) {
     // Mark w.p. 1/(2d); residual-isolated nodes join outright.
     const bool marked =
         active_degree == 0 ||
-        ctx.rng().bernoulli(1.0 / (2.0 * static_cast<double>(active_degree)));
+        util::step_rng(ctx.seed(), ctx.id(), iteration)
+            .bernoulli(1.0 / (2.0 * static_cast<double>(active_degree)));
 
     // Round 2: marked nodes exchange (degree, id) to break conflicts.
     sim::Inbox marks;

@@ -19,7 +19,8 @@ sim::Task coloring_node(sim::Context& ctx, ColoringOptions options) {
 
   for (std::uint64_t iteration = 0; iteration < cap; ++iteration) {
     // Draw a tentative color uniformly from the remaining palette.
-    std::uint64_t pick = ctx.rng().below(palette_size);
+    std::uint64_t pick =
+        util::step_rng(ctx.seed(), ctx.id(), iteration).below(palette_size);
     std::uint64_t tentative = 0;
     for (std::uint64_t c = 0; c <= ctx.degree(); ++c) {
       if (removed[c]) continue;

@@ -16,18 +16,6 @@ using algos::default_iteration_cap;
 using algos::priority_beats;
 using algos::rank_bits_for;
 
-/// One persistent RNG stream per node, identical to the streams
-/// sim::Network hands out. Each node's stream is advanced only by the
-/// lane owning the node, so sharded scans draw exactly the serial
-/// sequence.
-std::vector<Rng> node_streams(BulkEngine& eng) {
-  const auto n = eng.graph().num_vertices();
-  std::vector<Rng> rng;
-  rng.reserve(n);
-  for (VertexId v = 0; v < n; ++v) rng.push_back(eng.node_rng(v));
-  return rng;
-}
-
 std::vector<VertexId> all_vertices(VertexId n) {
   std::vector<VertexId> alive(n);
   std::iota(alive.begin(), alive.end(), VertexId{0});
@@ -46,7 +34,6 @@ void BulkLubyA::run(BulkEngine& eng) {
   const std::uint64_t cap = options_.max_iterations != 0
                                 ? options_.max_iterations
                                 : default_iteration_cap(n);
-  std::vector<Rng> rng = node_streams(eng);
   std::vector<VertexId> alive = all_vertices(n);
   std::vector<std::uint64_t> priority(n, 0);
   std::vector<std::uint8_t> win(n, 0);
@@ -73,7 +60,8 @@ void BulkLubyA::run(BulkEngine& eng) {
     eng.scan_awake(alive,
                    [&](BulkChunk&, std::span<const VertexId> part) {
                      for (const VertexId v : part) {
-                       priority[v] = rng[v].next() >> (64 - rank_bits);
+                       priority[v] = util::step_rng(eng.seed(), v, iteration)
+                                         .next() >> (64 - rank_bits);
                      }
                    });
     eng.scan_awake(alive, [&](BulkChunk& chunk,
@@ -152,7 +140,6 @@ void BulkLubyB::run(BulkEngine& eng) {
   const std::uint64_t cap = options_.max_iterations != 0
                                 ? options_.max_iterations
                                 : default_iteration_cap(n);
-  std::vector<Rng> rng = node_streams(eng);
   std::vector<VertexId> alive = all_vertices(n);
   std::vector<std::uint64_t> active_deg(n, 0);
   std::vector<std::uint8_t> marked(n, 0);
@@ -171,8 +158,8 @@ void BulkLubyB::run(BulkEngine& eng) {
   for (std::uint64_t iteration = 0; iteration < cap && !alive.empty();
        ++iteration) {
     // Round 1: probe active degree; mark w.p. 1/(2d) (isolated nodes
-    // mark outright, drawing nothing — note the short-circuit). Under
-    // loss the degree estimate is the hello count actually heard.
+    // mark outright). Under loss the degree estimate is the hello count
+    // actually heard.
     ++round;
     if (dynamic) {
       alive = eng.apply_dynamics(std::move(alive), round, reenter);
@@ -198,8 +185,9 @@ void BulkLubyB::run(BulkEngine& eng) {
         alive, [&](BulkChunk&, std::span<const VertexId> part) {
           for (const VertexId v : part) {
             marked[v] = (active_deg[v] == 0 ||
-                         rng[v].bernoulli(
-                             1.0 / (2.0 * static_cast<double>(active_deg[v]))))
+                         util::step_rng(eng.seed(), v, iteration)
+                             .bernoulli(1.0 / (2.0 * static_cast<double>(
+                                                      active_deg[v]))))
                             ? 1
                             : 0;
           }
@@ -302,7 +290,7 @@ void BulkGreedy::run(BulkEngine& eng) {
   }
   eng.scan_range(n, [&](BulkChunk&, std::size_t begin, std::size_t end) {
     for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
-      rank[v] = eng.node_rng(v).next() >> (64 - rank_bits);
+      rank[v] = util::rank_rng(eng.seed(), v).next() >> (64 - rank_bits);
       if (options_.ranks_out != nullptr) (*options_.ranks_out)[v] = rank[v];
     }
   });
@@ -395,7 +383,6 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
   const std::uint64_t cap = options_.max_iterations != 0
                                 ? options_.max_iterations
                                 : default_iteration_cap(n);
-  std::vector<Rng> rng = node_streams(eng);
   std::vector<VertexId> alive = all_vertices(n);
   // Per-port active flags, indexed by CSR adjacency slot.
   std::vector<std::uint8_t> port_active(g.degree_sum(), 1);
@@ -451,9 +438,10 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
     eng.scan_awake(alive, [&](BulkChunk&, std::span<const VertexId> part) {
       for (const VertexId v : part) {
         partner[v] = -1;
-        proposer[v] = rng[v].coin() ? 1 : 0;
+        Rng rng = util::step_rng(eng.seed(), v, iteration);
+        proposer[v] = rng.coin() ? 1 : 0;
         if (proposer[v] != 0) {
-          std::uint64_t pick = rng[v].below(active_count[v]);
+          std::uint64_t pick = rng.below(active_count[v]);
           const CsrOffset base = g.adjacency_offset(v);
           std::uint32_t port = 0;
           for (const std::uint32_t deg = g.degree(v); port < deg; ++port) {
@@ -616,7 +604,6 @@ void BulkBeepingMis::run(BulkEngine& eng) {
   const std::uint32_t random_bits =
       std::min(rank_bits_for(n), 64 - id_bits);
   const std::uint32_t total_bits = random_bits + id_bits;
-  std::vector<Rng> rng = node_streams(eng);
   std::vector<VertexId> alive = all_vertices(n);
   std::vector<std::uint64_t> rank(n, 0);
   std::vector<std::uint8_t> contending(n, 0);
@@ -635,9 +622,10 @@ void BulkBeepingMis::run(BulkEngine& eng) {
   for (std::uint64_t phase = 0; phase < phase_cap && !alive.empty(); ++phase) {
     eng.scan_awake(alive, [&](BulkChunk&, std::span<const VertexId> part) {
       for (const VertexId v : part) {
-        const bool candidate = rng[v].bernoulli(options_.candidate_prob);
+        Rng rng = util::step_rng(eng.seed(), v, phase);
+        const bool candidate = rng.bernoulli(options_.candidate_prob);
         rank[v] = candidate
-                      ? (rng[v].below(std::uint64_t{1} << random_bits)
+                      ? (rng.below(std::uint64_t{1} << random_bits)
                          << id_bits) |
                             v
                       : 0;

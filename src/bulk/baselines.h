@@ -4,8 +4,8 @@
 // These protocols are round-lockstep in the traditional model — every
 // still-active node is awake in every round until it terminates — so
 // the bulk port maintains one shrinking alive list and executes each
-// round as a flat scan, drawing from the same per-node RNG streams in
-// the same order as the coroutine implementations. Outputs and
+// round as a flat scan, taking the same keyed draws (util::rank_rng,
+// util::step_rng) as the coroutine implementations. Outputs and
 // sim::Metrics match the coroutine engine bit for bit
 // (tests/bulk_engine_test.cc).
 #pragma once

@@ -12,7 +12,6 @@ BulkEngine::BulkEngine(const Graph& g, std::uint64_t seed, BulkOptions options)
     : graph_(g),
       options_(options),
       seed_(seed),
-      master_(seed),
       fault_(options.fault, seed, g.num_vertices()) {
   const VertexId n = g.num_vertices();
   if (options_.node_metrics) metrics_.node.resize(n);

@@ -13,7 +13,8 @@
 // the coroutine engine's outputs and sim::Metrics exactly
 // (tests/bulk_engine_test.cc pins this) — including under a shared
 // fault::FaultPlan, whose keyed draws both engines evaluate to the
-// same bits (tests/fault_test.cc).
+// same bits (tests/fault_test.cc). Protocol draws are keyed the same
+// way (util/stream_rng.h), so no engine replays another's draw order.
 //
 // Intra-trial parallelism: per-frame node scans are independent per
 // node, so when BulkOptions::pool is set, scan_awake() shards the awake
@@ -45,7 +46,6 @@
 #include "graph/graph.h"
 #include "sim/metrics.h"
 #include "sim/network.h"  // sim::CongestViolation, congest_bits_for
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace slumber::bulk {
@@ -233,13 +233,9 @@ class BulkEngine {
 
   const Graph& graph() const { return graph_; }
   std::uint64_t n() const { return graph_.num_vertices(); }
+  /// The run's seed, which keys every draw (util/stream_rng.h).
   std::uint64_t seed() const { return seed_; }
   const BulkOptions& options() const { return options_; }
-
-  /// Per-node RNG stream; identical to the stream sim::Network hands the
-  /// node's Context (Rng(seed).split(v)), so protocols that draw in the
-  /// same per-node order reproduce coroutine runs bit for bit.
-  Rng node_rng(VertexId v) const { return master_.split(v); }
 
   // --- sharding ------------------------------------------------------
 
@@ -375,7 +371,6 @@ class BulkEngine {
   const Graph& graph_;
   BulkOptions options_;
   std::uint64_t seed_;
-  Rng master_;
   sim::Metrics metrics_;
   // outputs_ stays std::vector: take_result() moves it into
   // BulkResult::outputs, and it is write-once rather than scanned

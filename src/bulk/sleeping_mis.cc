@@ -39,9 +39,7 @@ struct Walker {
   BulkEngine& eng;
   const Graph& g;
   core::RecursionTrace* trace;
-  std::uint32_t words_per_node;  // packed coin bits, bit i of node v at
-                                 // bits[v*words + i/64] >> (i%64)
-  util::PodVector<std::uint64_t> bits;
+  double coin_bias;
   util::PodVector<std::uint8_t> value;  // MisValue per node
   std::uint32_t hello_bits;
   std::uint32_t status_bits;
@@ -54,10 +52,6 @@ struct Walker {
   // its tri-state status must return to kUnknown (the engine already
   // cleared its decision state).
   std::function<void(VertexId)> reenter;
-
-  bool coin(VertexId v, std::uint32_t i) const {
-    return (bits[std::uint64_t{v} * words_per_node + i / 64] >> (i % 64)) & 1;
-  }
 
   MisValue value_of(VertexId v) {
     return static_cast<MisValue>(
@@ -132,14 +126,15 @@ struct Walker {
         });
     if (stats != nullptr) stats->isolated_joins += detect1.user;
 
-    // Left recursion (lines 17-21): undecided members with X_k = 1. The
-    // keep() lists concatenate in chunk order, preserving member order.
+    // Left recursion (lines 17-21): undecided members with X_k = 1,
+    // drawn only for them. The keep() lists concatenate in chunk order,
+    // preserving member order.
     std::vector<VertexId> left =
         eng.scan_awake(members,
                        [&](BulkChunk& chunk, std::span<const VertexId> part) {
                          for (const VertexId v : part) {
                            if (value_of(v) == MisValue::kUnknown &&
-                               coin(v, k)) {
+                               util::coin(eng.seed(), v, k, coin_bias)) {
                              chunk.keep(v);
                            }
                          }
@@ -254,8 +249,7 @@ void BulkSleepingMis::run(BulkEngine& engine) {
   Walker w{engine,
            g,
            trace_,
-           levels / 64 + 1,
-           {},
+           options_.coin_bias,
            {},
            sim::Message::hello().bits,
            sim::Message::status(0).bits,
@@ -264,12 +258,9 @@ void BulkSleepingMis::run(BulkEngine& engine) {
            {}};
   w.reenter = [&w](VertexId v) { w.set_value(v, core::MisValue::kUnknown); };
 
-  // First-touch placement for the protocol's per-node arrays (packed
-  // coin bits, tri-state statuses): fill them in the pool's chunk
-  // layout so each lane's slice of every subsequent sharded scan lands
-  // on pages that lane touched first. Placement only — sharded_fill
-  // writes the same value everywhere, so contents (and every result)
-  // are bitwise unaffected.
+  // First-touch placement for the tri-state statuses: each lane's slice
+  // of every later sharded scan lands on pages that lane touched first.
+  // Placement only; contents (and every result) are bitwise unaffected.
   util::ThreadPool* touch_pool =
       engine.options().first_touch && engine.options().pool != nullptr &&
               engine.options().pool->num_threads() > 1
@@ -277,45 +268,18 @@ void BulkSleepingMis::run(BulkEngine& engine) {
           : nullptr;
   {
     obs::Span span("mis", "placement", n);
-    w.bits = util::sharded_fill<std::uint64_t>(n * w.words_per_node, 0,
-                                               touch_pool);
     w.value = util::sharded_fill<std::uint8_t>(
         n, static_cast<std::uint8_t>(core::MisValue::kUnknown), touch_pool);
   }
 
-  // Draw the coin bits X_1..X_K from the same per-node streams, in the
-  // same order, as core::sleeping_mis's node_main. Sharded over the
-  // pool: each node's stream and bit words belong to one lane.
+  // A traced run records every node's coins, as core::sleeping_mis does.
   if (trace_ != nullptr) {
     trace_->levels = levels;
     if (trace_->bits.size() != n) trace_->bits.resize(n);
-  }
-  obs::progress_phase("coins");
-  {
-    obs::Span coin_span("mis", "draw_coins", n);
     engine.scan_range(n, [&](BulkChunk&, std::size_t begin, std::size_t end) {
       for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
-        Rng rng = engine.node_rng(v);
-        const std::uint64_t base = std::uint64_t{v} * w.words_per_node;
-        // Bits gather in a register and each word is stored once (the
-        // words start zeroed), not read-modify-written per level.
-        std::uint64_t word = 0;
-        for (std::uint32_t i = 1; i <= levels; ++i) {
-          if (rng.bernoulli(options_.coin_bias)) {
-            word |= std::uint64_t{1} << (i % 64);
-          }
-          if (i % 64 == 63 || i == levels) {
-            w.bits[base + i / 64] = word;
-            word = 0;
-          }
-        }
-        if (trace_ != nullptr) {
-          std::vector<std::uint8_t>& node_bits = trace_->bits[v];
-          node_bits.assign(levels + 1, 0);
-          for (std::uint32_t i = 1; i <= levels; ++i) {
-            node_bits[i] = w.coin(v, i) ? 1 : 0;
-          }
-        }
+        trace_->bits[v] =
+            core::coin_bits(engine.seed(), v, levels, options_.coin_bias);
       }
     });
   }

@@ -8,9 +8,9 @@
 // virtual-time order), carrying explicit participant lists, and executes
 // each frame's three communication rounds as flat scans over CSR
 // neighbor spans: no coroutine frames, no message objects, no wake
-// buckets. Coin bits are drawn from the same per-node RNG streams in the
-// same order as the coroutine implementation, so outputs, metrics, and
-// RecursionTrace contents match bit for bit.
+// buckets. Coins are the same keyed util::coin draws the coroutine
+// implementation takes, read at the same branches, so outputs, metrics,
+// and RecursionTrace contents match bit for bit.
 #pragma once
 
 #include <memory>

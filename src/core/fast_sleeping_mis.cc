@@ -63,8 +63,9 @@ sim::Task greedy_base(sim::Context& ctx, MisState& st, std::uint64_t budget,
 }
 
 sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
-                  std::uint64_t path, std::uint64_t base_budget,
-                  std::uint32_t rank_bits, RecursionTrace* trace) {
+                  std::uint64_t path, double coin_bias,
+                  std::uint64_t base_budget, std::uint32_t rank_bits,
+                  RecursionTrace* trace) {
   if (trace != nullptr) ++trace->calls[{k, path}].participants;
 
   if (k == 0) {
@@ -88,10 +89,12 @@ sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
 
   const std::uint64_t child_span = schedule_duration(k - 1, base_budget);
 
-  // Left recursion.
-  if (st.value == MisValue::kUnknown && st.bits[k] == 1) {
+  // Left recursion: undecided nodes with X_k = 1.
+  if (st.value == MisValue::kUnknown &&
+      util::coin(ctx.seed(), ctx.id(), k, coin_bias)) {
     if (trace != nullptr) ++trace->calls[{k, path}].left;
-    co_await recurse(ctx, st, k - 1, path << 1, base_budget, rank_bits, trace);
+    co_await recurse(ctx, st, k - 1, path << 1, coin_bias, base_budget,
+                     rank_bits, trace);
   } else {
     ctx.sleep(child_span);
   }
@@ -128,8 +131,8 @@ sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
   // Right recursion.
   if (st.value == MisValue::kUnknown) {
     if (trace != nullptr) ++trace->calls[{k, path}].right;
-    co_await recurse(ctx, st, k - 1, (path << 1) | 1, base_budget, rank_bits,
-                     trace);
+    co_await recurse(ctx, st, k - 1, (path << 1) | 1, coin_bias, base_budget,
+                     rank_bits, trace);
   } else {
     ctx.sleep(child_span);
   }
@@ -144,19 +147,18 @@ sim::Task node_main(sim::Context& ctx, FastSleepingMisOptions options,
       options.base_rounds != 0 ? options.base_rounds
                                : greedy_base_rounds(ctx.n(), options.base_c);
   const std::uint32_t rank_bits = greedy_rank_bits(ctx.n());
-  st.bits.assign(levels + 1, 0);
-  for (std::uint32_t i = 1; i <= levels; ++i) {
-    st.bits[i] = ctx.rng().bernoulli(options.coin_bias) ? 1 : 0;
-  }
-  st.base_rank = ctx.rng().next() >> (64 - rank_bits);
+  st.base_rank =
+      util::rank_rng(ctx.seed(), ctx.id()).next() >> (64 - rank_bits);
   if (trace != nullptr) {
     trace->levels = levels;
     if (trace->bits.size() != ctx.n()) trace->bits.resize(ctx.n());
     if (trace->base_rank.size() != ctx.n()) trace->base_rank.resize(ctx.n());
-    trace->bits[ctx.id()] = st.bits;
+    trace->bits[ctx.id()] =
+        coin_bits(ctx.seed(), ctx.id(), levels, options.coin_bias);
     trace->base_rank[ctx.id()] = st.base_rank;
   }
-  co_await recurse(ctx, st, levels, 0, base_budget, rank_bits, trace);
+  co_await recurse(ctx, st, levels, 0, options.coin_bias, base_budget,
+                   rank_bits, trace);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/rank.h"
+#include "util/stream_rng.h"
 
 namespace slumber::core {
 
@@ -29,6 +30,17 @@ struct CallStats {
   std::uint64_t isolated_joins = 0;  // joined at first isolated detection
   std::uint64_t first_round = std::numeric_limits<std::uint64_t>::max();
 };
+
+/// Node v's coins X_1..X_levels (index 0 unused), as util::coin draws
+/// them, for RecursionTrace::bits.
+inline std::vector<std::uint8_t> coin_bits(std::uint64_t seed, VertexId v,
+                                           std::uint32_t levels, double bias) {
+  std::vector<std::uint8_t> bits(levels + 1, 0);
+  for (std::uint32_t i = 1; i <= levels; ++i) {
+    bits[i] = util::coin(seed, v, i, bias) ? 1 : 0;
+  }
+  return bits;
+}
 
 struct RecursionTrace {
   std::uint32_t levels = 0;  // K of the traced run

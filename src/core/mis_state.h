@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace slumber::core {
 
@@ -16,8 +15,6 @@ enum class MisValue : std::uint64_t {
 
 struct MisState {
   MisValue value = MisValue::kUnknown;
-  /// Coin bits X_1..X_K (index 0 unused).
-  std::vector<std::uint8_t> bits;
   /// Greedy rank for Algorithm 2's base case.
   std::uint64_t base_rank = 0;
 };

@@ -9,7 +9,8 @@ namespace slumber::core {
 namespace {
 
 sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
-                  std::uint64_t path, RecursionTrace* trace) {
+                  std::uint64_t path, double coin_bias,
+                  RecursionTrace* trace) {
   if (trace != nullptr) ++trace->calls[{k, path}].participants;
 
   if (k == 0) {  // base case (lines 9-12): w.h.p. |U| <= 1 here
@@ -38,10 +39,11 @@ sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
 
   const std::uint64_t child_span = schedule_duration(k - 1);
 
-  // Left recursion (lines 17-21).
-  if (st.value == MisValue::kUnknown && st.bits[k] == 1) {
+  // Left recursion (lines 17-21): undecided nodes with X_k = 1.
+  if (st.value == MisValue::kUnknown &&
+      util::coin(ctx.seed(), ctx.id(), k, coin_bias)) {
     if (trace != nullptr) ++trace->calls[{k, path}].left;
-    co_await recurse(ctx, st, k - 1, path << 1, trace);
+    co_await recurse(ctx, st, k - 1, path << 1, coin_bias, trace);
   } else {
     ctx.sleep(child_span);
   }
@@ -78,7 +80,7 @@ sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
   // Right recursion (lines 30-34).
   if (st.value == MisValue::kUnknown) {
     if (trace != nullptr) ++trace->calls[{k, path}].right;
-    co_await recurse(ctx, st, k - 1, (path << 1) | 1, trace);
+    co_await recurse(ctx, st, k - 1, (path << 1) | 1, coin_bias, trace);
   } else {
     ctx.sleep(child_span);
   }
@@ -89,16 +91,13 @@ sim::Task node_main(sim::Context& ctx, SleepingMisOptions options,
   MisState st;
   const std::uint32_t levels =
       options.levels != 0 ? options.levels : recursion_depth(ctx.n());
-  st.bits.assign(levels + 1, 0);
-  for (std::uint32_t i = 1; i <= levels; ++i) {
-    st.bits[i] = ctx.rng().bernoulli(options.coin_bias) ? 1 : 0;
-  }
   if (trace != nullptr) {
     trace->levels = levels;
     if (trace->bits.size() != ctx.n()) trace->bits.resize(ctx.n());
-    trace->bits[ctx.id()] = st.bits;
+    trace->bits[ctx.id()] =
+        coin_bits(ctx.seed(), ctx.id(), levels, options.coin_bias);
   }
-  co_await recurse(ctx, st, levels, 0, trace);
+  co_await recurse(ctx, st, levels, 0, options.coin_bias, trace);
 }
 
 }  // namespace

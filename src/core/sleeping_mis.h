@@ -1,8 +1,8 @@
 // Algorithm 1 of the paper: the Sleeping MIS algorithm.
 //
-// Each node draws K = ceil(3 log2 n) fair coin bits X_1..X_K up front
-// and runs SleepingMISRecursive(K). A call with parameter k >= 1 spends
-// exactly T(k) = 3(2^k - 1) rounds:
+// Each node runs SleepingMISRecursive(K), K = ceil(3 log2 n), reading
+// its fair coin X_k (a keyed util::coin draw) where a call branches on it.
+// A call with parameter k >= 1 spends exactly T(k) = 3(2^k - 1) rounds:
 //
 //   1 round   first isolated-node detection (join MIS if no neighbor in
 //             the current subgraph G[U] is awake to answer)

@@ -42,7 +42,7 @@ std::uint64_t sum(const std::vector<std::uint64_t>& parts) {
 /// Repair priority: a keyed hash, so the repaired set depends on the
 /// fault seed rather than on vertex numbering alone.
 std::uint64_t prio(std::uint64_t fault_seed, VertexId v) {
-  return detail::mix(fault_seed ^ util::stream_tags::kRepairTag, v);
+  return util::stream_key(fault_seed ^ util::stream_tags::kRepairTag, v);
 }
 
 bool beats(std::uint64_t fault_seed, VertexId u, VertexId v) {
@@ -198,7 +198,7 @@ ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
     std::vector<std::uint64_t> join_parts(chunk_count(pool, n), 0);
     for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
       for (std::size_t v = begin; v < end; ++v) {
-        const std::uint64_t stream = detail::mix(
+        const std::uint64_t stream = util::stream_key(
             util::stream_tags::kChurnTag ^ static_cast<VertexId>(v), batch);
         if (alive[v] != 0) {
           if (spec.leave_prob > 0.0 &&

@@ -153,21 +153,6 @@ struct FaultPlan {
 
 namespace detail {
 
-/// One avalanche step combining two 64-bit keys; the building block of
-/// every fault stream id. The golden-ratio offset keeps mix(x, 0) from
-/// collapsing to splitmix64(x).
-inline std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t sm = a ^ (b + 0x9e3779b97f4a7c15ULL);
-  return splitmix64(sm);
-}
-
-// The domain-separation tags that keep the loss, crash, churn, and
-// repair streams of one run from colliding moved to the central
-// stream-tag registry (util/stream_tags.h), which proves all
-// registered tags pairwise distinct in their high 32 bits at compile
-// time; slumber-d6 additionally checks every stream_rng call site
-// keys through a registered tag.
-
 /// Inverse-CDF geometric draw on {1, 2, ...} with success probability
 /// p, from one uniform: P(k) = (1-p)^(k-1) * p. The downtime primitive
 /// of live churn and crash recovery. p >= 1 pins the draw at 1;
@@ -212,7 +197,7 @@ class FaultState {
   FaultState(const FaultPlan* plan, std::uint64_t run_seed, VertexId n)
       : plan_(plan) {
     if (plan_ == nullptr) return;
-    seed_ = detail::mix(run_seed, plan_->salt);
+    seed_ = util::stream_key(run_seed, plan_->salt);
     crash_at_.reserve(plan_->crash_schedule.size());
     for (const CrashEvent& ev : plan_->crash_schedule) {
       if (ev.node < n) crash_at_.push_back({ev.node, ev.round});
@@ -257,8 +242,8 @@ class FaultState {
       return true;
     }
     if (plan_->crash_prob <= 0.0) return false;
-    const std::uint64_t stream = detail::mix(
-        detail::mix(util::stream_tags::kCrashTag ^ v, round_lo), round_hi);
+    const std::uint64_t stream = util::stream_key(
+        util::stream_key(util::stream_tags::kCrashTag ^ v, round_lo), round_hi);
     return util::stream_rng(seed_, stream).bernoulli(plan_->crash_prob);
   }
 
@@ -271,13 +256,14 @@ class FaultState {
                  std::uint64_t round_hi) const {
     if (!has_loss()) return false;
     if (a > b) std::swap(a, b);
-    const std::uint64_t edge = detail::mix(a, b);
+    const std::uint64_t edge = util::stream_key(a, b);
     if (plan_->burst.enabled() && burst_state(edge, round_lo, round_hi)) {
       return true;
     }
     if (plan_->loss_prob <= 0.0) return false;
-    const std::uint64_t stream = detail::mix(
-        detail::mix(util::stream_tags::kLossTag ^ edge, round_lo), round_hi);
+    const std::uint64_t stream = util::stream_key(
+        util::stream_key(util::stream_tags::kLossTag ^ edge, round_lo),
+        round_hi);
     return util::stream_rng(seed_, stream).bernoulli(plan_->loss_prob);
   }
 
@@ -296,7 +282,7 @@ class FaultState {
                  std::uint64_t round_hi) const {
     if (!has_burst()) return false;
     if (a > b) std::swap(a, b);
-    return burst_state(detail::mix(a, b), round_lo, round_hi);
+    return burst_state(util::stream_key(a, b), round_lo, round_hi);
   }
 
   /// Mid-run churn: does node v, participating in the given round,
@@ -308,8 +294,9 @@ class FaultState {
                        std::uint64_t round_hi) const {
     LeaveDraw draw;
     if (!has_live_churn()) return draw;
-    const std::uint64_t leave_stream = detail::mix(
-        detail::mix(util::stream_tags::kLiveChurnTag ^ v, round_lo), round_hi);
+    const std::uint64_t leave_stream = util::stream_key(
+        util::stream_key(util::stream_tags::kLiveChurnTag ^ v, round_lo),
+        round_hi);
     auto rng = util::stream_rng(seed_, leave_stream);
     if (!rng.bernoulli(plan_->live_churn.leave_prob)) return draw;
     draw.leaves = true;
@@ -326,8 +313,9 @@ class FaultState {
   /// RecoverSpec::mean_down, keyed on (node, crash round).
   std::uint64_t recover_downtime(VertexId v, std::uint64_t round_lo,
                                  std::uint64_t round_hi) const {
-    const std::uint64_t recover_stream = detail::mix(
-        detail::mix(util::stream_tags::kRecoverTag ^ v, round_lo), round_hi);
+    const std::uint64_t recover_stream = util::stream_key(
+        util::stream_key(util::stream_tags::kRecoverTag ^ v, round_lo),
+        round_hi);
     auto rng = util::stream_rng(seed_, recover_stream);
     return detail::geometric_from_uniform(
         rng.uniform(), 1.0 / static_cast<double>(plan_->recover.mean_down));
@@ -349,8 +337,8 @@ class FaultState {
       const std::uint64_t lo = static_cast<std::uint64_t>(epoch);
       // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split; both halves key the stream
       const std::uint64_t hi = static_cast<std::uint64_t>(epoch >> 64);
-      const std::uint64_t burst_stream = detail::mix(
-          detail::mix(util::stream_tags::kBurstTag ^ edge, lo), hi);
+      const std::uint64_t burst_stream = util::stream_key(
+          util::stream_key(util::stream_tags::kBurstTag ^ edge, lo), hi);
       auto rng = util::stream_rng(seed_, burst_stream);
       // Grid epochs regenerate unconditionally (note the short-circuit:
       // their streams serve only the state draw), so the scan takes at

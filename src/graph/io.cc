@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace slumber::io {
 
@@ -22,6 +23,15 @@ void for_each_edge_sorted(const Graph& g, Fn&& fn) {
   }
 }
 
+/// Header edge counts are untrusted: reserve at most this many.
+constexpr std::uint64_t kMaxEdgeReserve = std::uint64_t{1} << 20;
+
+/// Range-checks a parsed 0-based endpoint while it is still 64 bits.
+VertexId parsed_endpoint(std::uint64_t v, VertexId n, const char* what) {
+  if (v >= n) throw std::runtime_error(std::string(what) + ": bad vertex");
+  return static_cast<VertexId>(v);
+}
+
 }  // namespace
 
 void write_edge_list(std::ostream& out, const Graph& g) {
@@ -36,17 +46,19 @@ Graph read_edge_list(std::istream& in) {
   if (!(in >> n >> m)) {
     throw std::runtime_error("read_edge_list: missing header");
   }
+  const VertexId vertices = checked_vertex_count(n, "read_edge_list");
   std::vector<Edge> edges;
-  edges.reserve(m);
+  edges.reserve(std::min(m, kMaxEdgeReserve));
   for (std::uint64_t i = 0; i < m; ++i) {
     std::uint64_t u = 0;
     std::uint64_t v = 0;
     if (!(in >> u >> v)) {
       throw std::runtime_error("read_edge_list: truncated edge list");
     }
-    edges.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v)});
+    edges.push_back({parsed_endpoint(u, vertices, "read_edge_list"),
+                     parsed_endpoint(v, vertices, "read_edge_list")});
   }
-  return Graph(static_cast<VertexId>(n), std::move(edges));
+  return Graph(vertices, std::move(edges));
 }
 
 void write_dimacs(std::ostream& out, const Graph& g) {
@@ -58,8 +70,7 @@ void write_dimacs(std::ostream& out, const Graph& g) {
 
 Graph read_dimacs(std::istream& in) {
   std::string line;
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
+  VertexId n = 0;
   bool have_header = false;
   std::vector<Edge> edges;
   while (std::getline(in, line)) {
@@ -69,25 +80,28 @@ Graph read_dimacs(std::istream& in) {
     ls >> tag;
     if (tag == 'p') {
       std::string kind;
-      if (!(ls >> kind >> n >> m) || kind != "edge") {
+      std::uint64_t header_n = 0;
+      std::uint64_t m = 0;
+      if (!(ls >> kind >> header_n >> m) || kind != "edge") {
         throw std::runtime_error("read_dimacs: bad problem line");
       }
+      n = checked_vertex_count(header_n, "read_dimacs");
       have_header = true;
-      edges.reserve(m);
+      edges.reserve(std::min(m, kMaxEdgeReserve));
     } else if (tag == 'e') {
       std::uint64_t u = 0;
       std::uint64_t v = 0;
       if (!have_header || !(ls >> u >> v) || u == 0 || v == 0) {
         throw std::runtime_error("read_dimacs: bad edge line");
       }
-      edges.push_back(
-          {static_cast<VertexId>(u - 1), static_cast<VertexId>(v - 1)});
+      edges.push_back({parsed_endpoint(u - 1, n, "read_dimacs"),
+                       parsed_endpoint(v - 1, n, "read_dimacs")});
     } else {
       throw std::runtime_error("read_dimacs: unknown line tag");
     }
   }
   if (!have_header) throw std::runtime_error("read_dimacs: missing header");
-  return Graph(static_cast<VertexId>(n), std::move(edges));
+  return Graph(n, std::move(edges));
 }
 
 void write_dot(std::ostream& out, const Graph& g,

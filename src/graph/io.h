@@ -14,13 +14,15 @@ namespace slumber::io {
 void write_edge_list(std::ostream& out, const Graph& g);
 
 /// Parses the edge-list format written by write_edge_list. Throws
-/// std::runtime_error on malformed input.
+/// std::runtime_error on malformed input, including a vertex count
+/// past the VertexId range and an endpoint outside [0, n).
 Graph read_edge_list(std::istream& in);
 
 /// DIMACS format: "p edge n m" header, "e u v" lines, 1-based vertices.
 void write_dimacs(std::ostream& out, const Graph& g);
 
-/// Parses DIMACS ("c" comment lines allowed). Throws on malformed input.
+/// Parses DIMACS ("c" comment lines allowed). Throws std::runtime_error
+/// on malformed input, with the same range checks as read_edge_list.
 Graph read_dimacs(std::istream& in);
 
 /// Graphviz DOT export. Vertices listed in `highlight` (e.g. an MIS) are

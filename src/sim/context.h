@@ -24,7 +24,7 @@
 
 #include "graph/graph.h"
 #include "sim/message.h"
-#include "util/rng.h"
+#include "util/stream_rng.h"
 
 namespace slumber::sim {
 
@@ -52,7 +52,8 @@ class Context {
   /// The current virtual round (1-based; 0 = before the first round).
   std::uint64_t round() const;
 
-  Rng& rng() { return rng_; }
+  /// The run's seed; keys every random draw (util/stream_rng.h).
+  std::uint64_t seed() const;
 
   /// Sleep for `rounds` rounds before the next awake round. Accumulates;
   /// costs zero awake rounds.
@@ -104,15 +105,13 @@ class Context {
     }
   };
 
-  Context(Network* net, VertexId id, std::uint32_t degree, std::uint64_t n,
-          Rng rng)
-      : net_(net), id_(id), degree_(degree), n_(n), rng_(std::move(rng)) {}
+  Context(Network* net, VertexId id, std::uint32_t degree, std::uint64_t n)
+      : net_(net), id_(id), degree_(degree), n_(n) {}
 
   Network* net_;
   VertexId id_;
   std::uint32_t degree_;
   std::uint64_t n_;
-  Rng rng_;
 
   // --- scheduler interface ---
   std::coroutine_handle<> resume_point_;  // innermost suspended coroutine

@@ -18,6 +18,8 @@ std::uint32_t congest_bits_for(std::uint64_t n) {
 
 std::uint64_t Context::round() const { return net_->current_round(); }
 
+std::uint64_t Context::seed() const { return net_->seed_; }
+
 void Context::decide(std::int64_t output) {
   if (decided_) return;
   decided_ = true;
@@ -42,10 +44,8 @@ Network::Network(const Graph& g, std::uint64_t seed, NetworkOptions options)
   finished_.assign(n, false);
   last_awake_.assign(n, 0);
   contexts_.reserve(n);
-  Rng master(seed);
   for (VertexId v = 0; v < n; ++v) {
-    contexts_.emplace_back(new Context(this, v, g.degree(v), n,
-                                       master.split(v)));
+    contexts_.emplace_back(new Context(this, v, g.degree(v), n));
   }
 }
 

@@ -77,7 +77,8 @@ std::uint32_t congest_bits_for(std::uint64_t n);
 
 class Network {
  public:
-  /// Builds a network over `g`. Node RNG streams are split from `seed`.
+  /// Builds a network over `g`. Every random draw of the run is keyed
+  /// by `seed` (Context::seed).
   Network(const Graph& g, std::uint64_t seed, NetworkOptions options = {});
   ~Network();
 

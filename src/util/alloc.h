@@ -10,6 +10,11 @@
 //     the kernel's first-touch NUMA policy. A serial zero-fill lands
 //     every page on one node, and the lanes that later scan "their"
 //     contiguous slice all pull across the interconnect.
+//  3. Once glibc's dynamic mmap threshold has risen past an array's
+//     size, a freed array stays in the freeing thread's arena and the
+//     next allocation there reuses its pages: already placed by their
+//     old owner, and at an arena offset that depends on which trials
+//     ran on that thread before. Peak RSS then varies from run to run.
 //
 // PodVector<T> is std::vector with an allocator whose value-less
 // construct() default-initializes (a no-op for trivial T), so resize()
@@ -19,7 +24,10 @@
 // parallel_for_range will later hand to the scanning lanes, so pages
 // land next to the cores that will read them. Content is identical for
 // every lane count (each index is written exactly once with the same
-// value); only page placement differs.
+// value); only page placement differs. Blocks of kMappedArrayBytes or
+// more are mapped from the kernel directly and unmapped on free, so
+// every large array starts on fresh pages and holds memory only while
+// it lives.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +37,15 @@
 #include "util/thread_pool.h"
 
 namespace slumber::util {
+
+/// PodVector blocks at least this large bypass malloc (see above).
+inline constexpr std::size_t kMappedArrayBytes = std::size_t{1} << 20;
+
+namespace detail {
+/// Anonymous private mapping of `bytes`; throws std::bad_alloc.
+void* map_pages(std::size_t bytes);
+void unmap_pages(void* p, std::size_t bytes);
+}  // namespace detail
 
 /// std::allocator whose argument-less construct() default-initializes
 /// instead of value-initializing: resize() on trivial element types
@@ -43,6 +60,21 @@ class DefaultInitAllocator : public std::allocator<T> {
   struct rebind {
     using other = DefaultInitAllocator<U>;
   };
+
+  T* allocate(std::size_t n) {
+    if (n * sizeof(T) < kMappedArrayBytes) {
+      return std::allocator<T>::allocate(n);
+    }
+    return static_cast<T*>(detail::map_pages(n * sizeof(T)));
+  }
+
+  void deallocate(T* p, std::size_t n) {
+    if (n * sizeof(T) < kMappedArrayBytes) {
+      std::allocator<T>::deallocate(p, n);
+    } else {
+      detail::unmap_pages(p, n * sizeof(T));
+    }
+  }
 
   template <typename U>
   void construct(U* p) {

@@ -1,18 +1,18 @@
 // Deterministic random number generation for reproducible experiments.
 //
-// Every run in this library is keyed by a single 64-bit seed. Per-node
-// streams are derived with SplitMix64 so that adding or removing one
-// consumer never perturbs the stream of another (important when comparing
-// algorithms on identical topologies). The core generator is
-// xoshiro256**, which is small, fast, and passes BigCrush.
+// Every run in this library is keyed by a single 64-bit seed; each random
+// choice opens its own generator from a key derived from it
+// (util/stream_rng.h), so no consumer perturbs another's draws. The core
+// generator is xoshiro256**, which is small, fast, and passes BigCrush.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 namespace slumber {
 
-/// SplitMix64 step; used for seeding and for stream splitting.
+/// SplitMix64 step; used for seeding and for stream keys.
 inline std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -86,13 +86,6 @@ class Rng {
 
   /// A fair coin flip (the paper's X_i bits).
   bool coin() { return (next() >> 63) != 0; }
-
-  /// Derives an independent child stream. Deterministic in (this stream's
-  /// seed history, `stream_id`), and does not advance this generator.
-  Rng split(std::uint64_t stream_id) const {
-    std::uint64_t sm = state_[0] ^ (state_[3] + 0x9e3779b97f4a7c15ULL * (stream_id + 1));
-    return Rng(splitmix64(sm));
-  }
 
   /// Fisher-Yates shuffle of a random-access container.
   template <typename Container>

@@ -1,23 +1,17 @@
-// Counter-based RNG stream derivation for sharded generation.
+// Counter-based RNG streams: the library's one randomness discipline.
 //
-// Rng::split() derives child streams from a generator's *state*, which
-// makes the child depend on how much of the parent has been consumed —
-// exactly right for per-node streams inside a simulation, and exactly
-// wrong for sharded graph generation, where worker lanes must be able
-// to open block b's stream without replaying blocks 0..b-1.
-//
-// stream_rng() below is the counter-based alternative: the generator
-// for stream `stream` under seed `seed` is a pure function of the pair
-// (seed, stream). Streams are therefore seekable (open any counter in
-// O(1)) and independent of consumption order — lane counts, claim
-// order, and interleaving cannot change what any stream yields. The
-// sharded G(n, p) builders key one stream per fixed-size vertex block
-// on this (see gen::gnp_sharded_csr).
+// A stream is a pure function of (seed, stream), so it is seekable and
+// independent of lane counts, interleaving and other draws. Protocols
+// draw through coin / rank_rng / step_rng below, which both engines call
+// with the same keys; the fault layer keys through stream_key and the
+// tags of util/stream_tags.h; gen::gnp_sharded_csr keys one stream per
+// vertex block.
 #pragma once
 
 #include <cstdint>
 
 #include "util/rng.h"
+#include "util/stream_tags.h"
 
 namespace slumber::util {
 
@@ -31,6 +25,35 @@ inline Rng stream_rng(std::uint64_t seed, std::uint64_t stream) {
   const std::uint64_t seed_key = splitmix64(sm);
   sm = seed_key ^ stream;
   return Rng(splitmix64(sm));
+}
+
+/// One avalanche step combining two 64-bit keys. The golden-ratio offset
+/// keeps stream_key(x, 0) from collapsing to splitmix64(x). Fold one
+/// entity per step: stream_key(tag ^ v, k) hashes v ^ (k + offset), so
+/// distinct (v, k) pairs can share a stream.
+inline std::uint64_t stream_key(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t sm = a ^ (b + 0x9e3779b97f4a7c15ULL);
+  return splitmix64(sm);
+}
+
+/// Coin X_k of node v (paper Algorithm 1): true with probability `bias`.
+inline bool coin(std::uint64_t seed, std::uint64_t v, std::uint64_t k,
+                 double bias) {
+  return stream_rng(seed,
+                    stream_key(stream_key(stream_tags::kCoinTag, v), k))
+      .bernoulli(bias);
+}
+
+/// Node v's one-shot rank stream.
+inline Rng rank_rng(std::uint64_t seed, std::uint64_t v) {
+  return stream_rng(seed, stream_key(stream_tags::kRankTag, v));
+}
+
+/// Node v's stream in iteration `step` of an iterative protocol; a step
+/// that needs several values takes them in order from it.
+inline Rng step_rng(std::uint64_t seed, std::uint64_t v, std::uint64_t step) {
+  return stream_rng(seed,
+                    stream_key(stream_key(stream_tags::kStepTag, v), step));
 }
 
 }  // namespace slumber::util

@@ -71,6 +71,15 @@ inline constexpr std::uint64_t kLiveChurnTag = 0x11FEC4D0'5EED'0006ULL;
 // of crash recovery (fault/fault.h, FaultState::recover_downtime).
 inline constexpr std::uint64_t kRecoverTag = 0x4EC0FED0'5EED'0007ULL;
 
+// SLUMBER-STREAM-TAG(coin): per-(node, level) coins X_k (util::coin).
+inline constexpr std::uint64_t kCoinTag = 0xC0125AD0'5EED'0008ULL;
+
+// SLUMBER-STREAM-TAG(rank): one-shot per-node ranks (util::rank_rng).
+inline constexpr std::uint64_t kRankTag = 0x4A4C5AD0'5EED'0009ULL;
+
+// SLUMBER-STREAM-TAG(step): per-(node, iteration) draws (util::step_rng).
+inline constexpr std::uint64_t kStepTag = 0x57E95AD0'5EED'000AULL;
+
 /// Every registered tag, for the pairwise-distinctness proof below and
 /// for tooling. Append when registering a new tag.
 inline constexpr std::uint64_t kAllStreamTags[] = {
@@ -81,6 +90,9 @@ inline constexpr std::uint64_t kAllStreamTags[] = {
     kBurstTag,
     kLiveChurnTag,
     kRecoverTag,
+    kCoinTag,
+    kRankTag,
+    kStepTag,
 };
 
 namespace detail {

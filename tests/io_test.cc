@@ -65,6 +65,44 @@ TEST(IoTest, DimacsRejectsZeroVertex) {
   EXPECT_THROW(read_dimacs(in), std::runtime_error);
 }
 
+// Vertex counts and ids are parsed as 64-bit values and must be
+// range-checked before they narrow to VertexId: 2^32 + 2 would
+// otherwise read as n = 2 and id 2^32 + 1 as vertex 1.
+TEST(IoTest, EdgeListRejectsVertexCountPastVertexIdRange) {
+  std::istringstream in("4294967298 1\n0 4294967297\n");
+  EXPECT_THROW(read_edge_list(in), std::runtime_error);
+}
+
+TEST(IoTest, EdgeListRejectsEndpointPastN) {
+  std::istringstream in("3 1\n0 4294967297\n");
+  EXPECT_THROW(read_edge_list(in), std::runtime_error);
+}
+
+TEST(IoTest, DimacsRejectsVertexCountPastVertexIdRange) {
+  std::istringstream in("p edge 4294967299 1\ne 1 4294967298\n");
+  EXPECT_THROW(read_dimacs(in), std::runtime_error);
+}
+
+TEST(IoTest, DimacsRejectsEndpointPastN) {
+  std::istringstream in("p edge 3 1\ne 1 4294967298\n");
+  EXPECT_THROW(read_dimacs(in), std::runtime_error);
+}
+
+// An edge count in the header is untrusted: a huge one must end in the
+// documented truncation error, not in a std::length_error from
+// reserving it.
+TEST(IoTest, EdgeListHugeEdgeCountIsTruncationError) {
+  std::istringstream in("3 18446744073709551615\n0 1\n");
+  EXPECT_THROW(read_edge_list(in), std::runtime_error);
+}
+
+TEST(IoTest, DimacsHugeEdgeCountDoesNotReserveIt) {
+  std::istringstream in("p edge 3 18446744073709551615\ne 1 2\n");
+  const Graph g = read_dimacs(in);
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_TRUE(g.has_edge(0, 1));
+}
+
 TEST(IoTest, DotContainsHighlights) {
   const Graph g = gen::path(3);
   const std::vector<VertexId> mis = {0, 2};

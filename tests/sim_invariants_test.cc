@@ -14,7 +14,7 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "sim/network.h"
-#include "util/rng.h"
+#include "util/stream_rng.h"
 
 namespace slumber::sim {
 namespace {
@@ -22,22 +22,25 @@ namespace {
 // A protocol driven by a per-node random plan: each step either sleeps
 // a random duration, broadcasts, listens, or sends on random ports;
 // terminates after a random number of steps. Every receive is counted
-// into the node's output so runs can be compared exactly.
+// into the node's output so runs can be compared exactly. The step
+// count is the node's rank draw; each step's choices come from that
+// step's keyed stream.
 Task chaos_protocol(Context& ctx) {
-  const std::uint64_t steps = 1 + ctx.rng().below(12);
+  const std::uint64_t steps =
+      1 + util::rank_rng(ctx.seed(), ctx.id()).below(12);
   std::int64_t received_total = 0;
   for (std::uint64_t step = 0; step < steps; ++step) {
-    const std::uint64_t action = ctx.rng().below(4);
+    Rng rng = util::step_rng(ctx.seed(), ctx.id(), step);
+    const std::uint64_t action = rng.below(4);
     if (action == 0) {
-      ctx.sleep(ctx.rng().below(5));
+      ctx.sleep(rng.below(5));
     }
     Inbox inbox;
     if (action == 1 && ctx.degree() > 0) {
       std::vector<std::pair<std::uint32_t, Message>> out;
-      const std::uint64_t sends = ctx.rng().below(ctx.degree()) + 1;
+      const std::uint64_t sends = rng.below(ctx.degree()) + 1;
       for (std::uint64_t i = 0; i < sends; ++i) {
-        out.push_back({static_cast<std::uint32_t>(
-                           ctx.rng().below(ctx.degree())),
+        out.push_back({static_cast<std::uint32_t>(rng.below(ctx.degree())),
                        Message::hello()});
       }
       inbox = co_await ctx.exchange(std::move(out));

@@ -4,6 +4,7 @@
 
 #include "graph/generators.h"
 #include "sim/network.h"
+#include "util/stream_rng.h"
 
 namespace slumber::sim {
 namespace {
@@ -244,7 +245,8 @@ TEST(SimTest, ExceptionInProtocolPropagates) {
 TEST(SimTest, DeterministicAcrossRuns) {
   const Graph g = cycle(6);
   auto protocol = [](Context& ctx) -> Task {
-    const std::uint64_t value = ctx.rng().below(1000);
+    const std::uint64_t value =
+        util::rank_rng(ctx.seed(), ctx.id()).below(1000);
     co_await ctx.broadcast(Message::hello());
     ctx.decide(static_cast<std::int64_t>(value));
   };

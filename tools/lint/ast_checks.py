@@ -105,8 +105,6 @@ except ImportError:
 RULES = ("slumber-d5", "slumber-d6", "slumber-d7", "slumber-d8")
 CXX_EXTENSIONS = (".cc", ".h", ".cpp", ".hpp")
 REGISTRY_REL = "src/util/stream_tags.h"
-# The stream_rng definition itself is not a call site.
-STREAM_DEF_REL = "src/util/stream_rng.h"
 
 # Dispatcher name -> which lambda parameter positions are lane-local
 # index parameters (chunk id / range bounds) and which hand the lambda
@@ -432,13 +430,13 @@ def extract_pool_lambdas(model: FileModel, text: str,
 
 def extract_stream_calls(model: FileModel, text: str,
                          starts: list[int]) -> None:
-    if model.relpath == STREAM_DEF_REL:
-        return
     for call in STREAM_CALL_RE.finditer(text):
         open_paren = text.find("(", call.start())
         close = match_forward(text, open_paren, "(", ")")
         if close < 0:
             continue
+        if text[close + 1:].lstrip().startswith("{"):
+            continue  # the stream_rng definition itself, not a draw
         args = split_args(text[open_paren + 1:close])
         if len(args) < 2:
             continue  # declaration or partial application: not a draw

@@ -94,6 +94,15 @@ PLANTS = [
         "slumber-d6",
     ),
     (
+        # The protocols' coins key through util::coin; a bare literal in
+        # place of the registered tag is an unregistered stream.
+        "d6-coin-unregistered-stream",
+        "src/util/stream_rng.h",
+        "stream_key(stream_key(stream_tags::kCoinTag, v), k)",
+        "stream_key(stream_key(0xC0125AD0ULL, v), k)",
+        "slumber-d6",
+    ),
+    (
         "d7-engine-truncated-makespan",
         "src/bulk/engine.cc",
         "metrics_.makespan = saturate_round(virtual_makespan_);",
