@@ -64,6 +64,7 @@ void BulkLubyA::run(BulkEngine& eng) {
                                          .next() >> (64 - rank_bits);
                      }
                    });
+    const auto round1_links = eng.links(round);
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -73,7 +74,7 @@ void BulkLubyA::run(BulkEngine& eng) {
         for (const VertexId u : g.neighbors(v)) {
           if (!eng.is_awake(u)) continue;
           ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, round)) continue;
+          if (lossy && round1_links.down(v, u)) continue;
           ++heard;
           if (priority_beats(priority[u], u, priority[v], v)) w = false;
         }
@@ -89,6 +90,7 @@ void BulkLubyA::run(BulkEngine& eng) {
       eng.mark_awake(alive);  // membership changed
     }
     eng.charge_round(alive, round);
+    const auto round2_links = eng.links(round);
     alive = eng.scan_awake(
                    alive,
                    [&](BulkChunk& chunk, std::span<const VertexId> part) {
@@ -100,7 +102,7 @@ void BulkLubyA::run(BulkEngine& eng) {
                          if (!eng.is_awake(u)) continue;
                          ++awake_nbrs;
                          // One symmetric draw decides both directions.
-                         if (lossy && !eng.link_up(v, u, round)) continue;
+                         if (lossy && round2_links.down(v, u)) continue;
                          ++delivered_out;
                          winners_adjacent += win[u];
                        }
@@ -167,6 +169,7 @@ void BulkLubyB::run(BulkEngine& eng) {
     }
     eng.mark_awake(alive);
     eng.charge_round(alive, round);
+    const auto round1_links = eng.links(round);
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -175,7 +178,7 @@ void BulkLubyB::run(BulkEngine& eng) {
         for (const VertexId u : g.neighbors(v)) {
           if (!eng.is_awake(u)) continue;
           ++awake_nbrs;
-          if (!lossy || eng.link_up(v, u, round)) ++heard;
+          if (!lossy || !round1_links.down(v, u)) ++heard;
         }
         active_deg[v] = heard;
         chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, hello_bits);
@@ -200,6 +203,7 @@ void BulkLubyB::run(BulkEngine& eng) {
       eng.mark_awake(alive);
     }
     eng.charge_round(alive, round);
+    const auto round2_links = eng.links(round);
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -210,7 +214,7 @@ void BulkLubyB::run(BulkEngine& eng) {
         for (const VertexId u : g.neighbors(v)) {
           if (!eng.is_awake(u)) continue;
           ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, round)) continue;
+          if (lossy && round2_links.down(v, u)) continue;
           ++delivered_out;
           if (marked[u] == 0) continue;
           ++marked_adjacent;
@@ -234,6 +238,7 @@ void BulkLubyB::run(BulkEngine& eng) {
       eng.mark_awake(alive);
     }
     eng.charge_round(alive, round);
+    const auto round3_links = eng.links(round);
     alive = eng.scan_awake(
                    alive,
                    [&](BulkChunk& chunk, std::span<const VertexId> part) {
@@ -244,7 +249,7 @@ void BulkLubyB::run(BulkEngine& eng) {
                        for (const VertexId u : g.neighbors(v)) {
                          if (!eng.is_awake(u)) continue;
                          ++awake_nbrs;
-                         if (lossy && !eng.link_up(v, u, round)) continue;
+                         if (lossy && round3_links.down(v, u)) continue;
                          ++delivered_out;
                          winners_adjacent += win[u];
                        }
@@ -312,6 +317,7 @@ void BulkGreedy::run(BulkEngine& eng) {
     }
     eng.mark_awake(alive);
     eng.charge_round(alive, round);
+    const auto compare_links = eng.links(round);
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -321,7 +327,7 @@ void BulkGreedy::run(BulkEngine& eng) {
         for (const VertexId u : g.neighbors(v)) {
           if (!eng.is_awake(u)) continue;
           ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, round)) continue;
+          if (lossy && compare_links.down(v, u)) continue;
           ++heard;
           if (priority_beats(rank[u], u, rank[v], v)) w = false;
         }
@@ -336,6 +342,7 @@ void BulkGreedy::run(BulkEngine& eng) {
       eng.mark_awake(alive);
     }
     eng.charge_round(alive, round);
+    const auto join_links = eng.links(round);
     alive = eng.scan_awake(
                    alive,
                    [&](BulkChunk& chunk, std::span<const VertexId> part) {
@@ -346,7 +353,7 @@ void BulkGreedy::run(BulkEngine& eng) {
                        for (const VertexId u : g.neighbors(v)) {
                          if (!eng.is_awake(u)) continue;
                          ++awake_nbrs;
-                         if (lossy && !eng.link_up(v, u, round)) continue;
+                         if (lossy && join_links.down(v, u)) continue;
                          ++delivered_out;
                          winners_adjacent += win[u];
                        }
@@ -469,6 +476,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
     eng.scan_awake(alive, [&](BulkChunk&, std::span<const VertexId> part) {
       for (const VertexId v : part) recv[v] = 0;
     });
+    const auto round1_links = eng.links(round);
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -476,7 +484,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
         const VertexId t = target[v];
         const bool awake_t = eng.is_awake(t);
         const bool delivered =
-            awake_t && (!lossy || eng.link_up(v, t, round));
+            awake_t && (!lossy || !round1_links.down(v, t));
         sent_ok[v] = delivered ? 1 : 0;
         chunk.charge_send(v, 1, delivered ? 1 : 0, kIiBits,
                           (awake_t && !delivered) ? 1 : 0);
@@ -502,6 +510,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
     eng.scan_awake(alive, [&](BulkChunk&, std::span<const VertexId> part) {
       for (const VertexId v : part) recv[v] = 0;
     });
+    const auto round2_links = eng.links(round);
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId u : part) {
@@ -518,7 +527,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
           }
           const bool awake_w = eng.is_awake(w);
           const bool delivered =
-              awake_w && (!lossy || eng.link_up(u, w, round));
+              awake_w && (!lossy || !round2_links.down(u, w));
           chunk.charge_send(u, 1, delivered ? 1 : 0, kIiBits,
                             (awake_w && !delivered) ? 1 : 0);
           partner[u] = static_cast<std::int64_t>(w);
@@ -543,6 +552,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
       eng.mark_awake(alive);
     }
     eng.charge_round(alive, round);
+    const auto round3_links = eng.links(round);
     alive =
         eng.scan_awake(
                alive,
@@ -557,7 +567,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
                      const VertexId u = nbrs[p];
                      if (!eng.is_awake(u)) continue;
                      ++awake_nbrs;
-                     if (lossy && !eng.link_up(v, u, round)) continue;
+                     if (lossy && round3_links.down(v, u)) continue;
                      ++delivered_out;
                      if (partner[u] >= 0) {
                        ++matched_adjacent;
@@ -650,6 +660,7 @@ void BulkBeepingMis::run(BulkEngine& eng) {
                                                                         : 0;
         }
       });
+      const auto slot_links = eng.links(round);
       eng.scan_awake(alive, [&](BulkChunk& chunk,
                                 std::span<const VertexId> part) {
         for (const VertexId v : part) {
@@ -659,7 +670,7 @@ void BulkBeepingMis::run(BulkEngine& eng) {
           for (const VertexId u : g.neighbors(v)) {
             if (!eng.is_awake(u)) continue;
             ++awake_nbrs;
-            if (lossy && !eng.link_up(v, u, round)) continue;
+            if (lossy && slot_links.down(v, u)) continue;
             ++delivered_out;
             beeps_heard += beeper[u];
           }
@@ -684,6 +695,7 @@ void BulkBeepingMis::run(BulkEngine& eng) {
       eng.mark_awake(alive);
     }
     eng.charge_round(alive, round);
+    const auto join_links = eng.links(round);
     alive = eng.scan_awake(
                    alive,
                    [&](BulkChunk& chunk, std::span<const VertexId> part) {
@@ -694,7 +706,7 @@ void BulkBeepingMis::run(BulkEngine& eng) {
                        for (const VertexId u : g.neighbors(v)) {
                          if (!eng.is_awake(u)) continue;
                          ++awake_nbrs;
-                         if (lossy && !eng.link_up(v, u, round)) continue;
+                         if (lossy && join_links.down(v, u)) continue;
                          ++delivered_out;
                          joins_heard += contending[u];
                        }

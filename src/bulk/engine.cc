@@ -216,6 +216,7 @@ std::vector<VertexId> BulkEngine::apply_dynamics(
   const RoundHalves halves = round_halves(round);
   const std::uint64_t lo = halves.lo;
   const std::uint64_t hi = halves.hi;
+  const fault::FaultState::NodeView node_faults = fault_.nodes(lo, hi);
   const std::size_t before = awake.size();
   obs::Span span(obs::enabled() && before >= options_.parallel_cutoff
                      ? "fault"
@@ -234,7 +235,7 @@ std::vector<VertexId> BulkEngine::apply_dynamics(
             // recursion's ancestor member lists legitimately go stale
             // when a node leaves inside a child frame).
             if (down(v)) continue;
-            if (crashy_run && fault_.crashes_now(v, lo, hi)) {
+            if (crashy_run && node_faults.crashes(v)) {
               crashed_[v] = 1;
               if (options_.node_metrics) metrics_.node[v].crashed = true;
               chunk.finish(v, round);
@@ -243,7 +244,7 @@ std::vector<VertexId> BulkEngine::apply_dynamics(
               continue;
             }
             if (churny) {
-              if (fault_.live_leave(v, lo, hi).leaves) {
+              if (node_faults.leave(v).leaves) {
                 departed_[v] = 1;
                 chunk.finish(v, round);
                 chunk.drop(v);
@@ -257,7 +258,7 @@ std::vector<VertexId> BulkEngine::apply_dynamics(
   }
   // Phase 2 (serial): schedule comebacks for this round's removals. The
   // keyed draws are recomputed here rather than smuggled out of the
-  // chunks — same stream, same bits, and the scan lambda stays a pure
+  // chunks — same key, same bits, and the scan lambda stays a pure
   // filter.
   std::uint64_t leaves = 0;
   for (const VertexId v : scan.dropped) {
@@ -267,7 +268,7 @@ std::vector<VertexId> BulkEngine::apply_dynamics(
       due = round + fault_.recover_downtime(v, lo, hi);
     } else {
       ++leaves;
-      const fault::LeaveDraw draw = fault_.live_leave(v, lo, hi);
+      const fault::LeaveDraw draw = node_faults.leave(v);
       if (!draw.rejoins) continue;
       due = round + draw.downtime;
     }

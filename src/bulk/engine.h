@@ -109,7 +109,7 @@ struct BulkOptions {
   bool first_touch = false;
   /// Fault injection (fault/fault.h): crash schedules, probabilistic
   /// crashes, and message loss. Borrowed; must outlive the run. Every
-  /// fault decision is a keyed util::stream_rng draw evaluated
+  /// fault decision is a keyed util::keyed_uniform draw evaluated
   /// chunk-locally and merged in chunk index order, so faulty runs stay
   /// bitwise identical at every lane count and agree with the coroutine
   /// scheduler under the same plan and seed. Live dynamics (mid-run
@@ -283,12 +283,14 @@ class BulkEngine {
     return fault_.has_crashes() || fault_.has_live_churn();
   }
 
-  /// Is the undirected link {a, b} up at `round`? Symmetric keyed draw:
-  /// both directions, every lane, and the coroutine scheduler compute
-  /// the identical bit. Always true without a loss plan.
-  bool link_up(VertexId a, VertexId b, VirtualRound round) const {
+  /// The link draws of `round` (fault::FaultState::LinkView): take it
+  /// once before a scan, then ask down(a, b) per neighbor. Symmetric
+  /// keyed draws: both directions, every lane, and the coroutine
+  /// scheduler compute the identical bit. Never down without a loss
+  /// plan.
+  fault::FaultState::LinkView links(VirtualRound round) const {
     const RoundHalves halves = round_halves(round);
-    return !fault_.link_down(a, b, halves.lo, halves.hi);
+    return fault_.links(halves.lo, halves.hi);
   }
 
   /// True iff v is fail-stopped right now (crash recovery clears the

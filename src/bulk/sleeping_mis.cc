@@ -105,6 +105,7 @@ struct Walker {
     if (dynamic) members = eng.apply_dynamics(std::move(members), start, reenter);
     eng.mark_awake(members);
     eng.charge_round(members, start);
+    const auto detect1_links = eng.links(start);
     const ScanResult detect1 = eng.scan_awake(
         members, [&](BulkChunk& chunk, std::span<const VertexId> part) {
           for (const VertexId v : part) {
@@ -113,7 +114,7 @@ struct Walker {
             for (const VertexId u : g.neighbors(v)) {
               if (!eng.is_awake(u)) continue;
               ++awake_nbrs;
-              if (!lossy || eng.link_up(v, u, start)) ++heard;
+              if (!lossy || !detect1_links.down(v, u)) ++heard;
             }
             chunk.charge_symmetric_broadcast(v, awake_nbrs, heard,
                                              hello_bits);
@@ -160,6 +161,7 @@ struct Walker {
     if (dynamic) members = eng.apply_dynamics(std::move(members), sync, reenter);
     eng.mark_awake(members);  // children bumped the epoch during the left call
     eng.charge_round(members, sync);
+    const auto sync_links = eng.links(sync);
     eng.scan_awake(members, [&](BulkChunk& chunk,
                                 std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -169,7 +171,7 @@ struct Walker {
         for (const VertexId u : g.neighbors(v)) {
           if (!eng.is_awake(u)) continue;
           ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, sync)) continue;
+          if (lossy && sync_links.down(v, u)) continue;
           ++heard;
           mis_neighbor |= value_of(u) == MisValue::kTrue;
         }
@@ -191,6 +193,7 @@ struct Walker {
       eng.mark_awake(members);  // membership changed; sync's marking is stale
     }
     eng.charge_round(members, detect2);
+    const auto detect2_links = eng.links(detect2);
     eng.scan_awake(members, [&](BulkChunk& chunk,
                                 std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -202,7 +205,7 @@ struct Walker {
           ++awake_nbrs;
           // A neighbor whose status message is lost simply isn't heard;
           // it cannot block the join (that is the injected damage).
-          if (lossy && !eng.link_up(v, u, detect2)) continue;
+          if (lossy && detect2_links.down(v, u)) continue;
           ++heard;
           all_eliminated &= value_of(u) == MisValue::kFalse;
         }

@@ -173,6 +173,12 @@ bool check_alive_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
   return sum(bad_parts) == 0;
 }
 
+double churn_uniform(std::uint64_t fault_seed, std::uint32_t batch,
+                     VertexId v) {
+  return util::keyed_uniform(
+      util::stream_key(fault_seed ^ util::stream_tags::kChurnTag, batch), v);
+}
+
 ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
                       std::uint64_t fault_seed,
                       std::vector<std::uint8_t>& alive,
@@ -191,25 +197,25 @@ ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
   for (std::uint32_t batch = 1; batch <= spec.batches; ++batch) {
     ++report.batches;
     obs::Span batch_span("fault", "churn_batch", batch);
-    // Keyed membership draws: one stream per (node, batch), so the
-    // batch's composition is independent of lane count and of any other
-    // RNG consumer in the run.
+    // Keyed membership draws: one key per (batch, node), so the batch's
+    // composition is independent of lane count and of any other RNG
+    // consumer in the run.
     std::vector<std::uint64_t> leave_parts(chunk_count(pool, n), 0);
     std::vector<std::uint64_t> join_parts(chunk_count(pool, n), 0);
     for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
       for (std::size_t v = begin; v < end; ++v) {
-        const std::uint64_t stream = util::stream_key(
-            util::stream_tags::kChurnTag ^ static_cast<VertexId>(v), batch);
         if (alive[v] != 0) {
           if (spec.leave_prob > 0.0 &&
-              util::stream_rng(fault_seed, stream).bernoulli(spec.leave_prob)) {
+              churn_uniform(fault_seed, batch, static_cast<VertexId>(v)) <
+                  spec.leave_prob) {
             alive[v] = 0;
             outputs[v] = -1;
             ++leave_parts[c];
           }
         } else {
           if (spec.join_prob > 0.0 &&
-              util::stream_rng(fault_seed, stream).bernoulli(spec.join_prob)) {
+              churn_uniform(fault_seed, batch, static_cast<VertexId>(v)) <
+                  spec.join_prob) {
             alive[v] = 1;
             outputs[v] = 0;
             ++join_parts[c];

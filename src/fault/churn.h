@@ -4,7 +4,7 @@
 // the protocol terminates, ChurnSpec::batches rounds of joins/leaves
 // hit the ground graph (alive nodes leave with leave_prob, departed
 // nodes rejoin with join_prob, drawn from the fault seed keyed by
-// (node, batch) — lane-count- and order-independent), and after every
+// (batch, node) — lane-count- and order-independent), and after every
 // batch the MIS invariant is restored incrementally on the subgraph
 // induced by the alive set.
 //
@@ -69,6 +69,13 @@ std::uint64_t repair_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
 bool check_alive_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
                      const std::vector<std::int64_t>& outputs,
                      util::ThreadPool* pool = nullptr);
+
+/// Node v's keyed membership uniform in churn batch `batch`, keyed
+/// batch-first like every per-round fault draw: an alive node leaves
+/// when it is below ChurnSpec::leave_prob, a departed node rejoins when
+/// it is below join_prob.
+double churn_uniform(std::uint64_t fault_seed, std::uint32_t batch,
+                     VertexId v);
 
 /// Runs the full churn stream over `alive`/`outputs` in place: initial
 /// repair (the trial may have ended with crash/loss damage), then

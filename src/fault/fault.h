@@ -10,17 +10,25 @@
 // see fault/churn.h).
 //
 // Every probabilistic decision is a *pure function* of (run seed, fault
-// identity): draws go through util::stream_rng keyed by the entity the
-// fault hits — the undirected edge id and round for message loss, the
-// node id and round for crashes — never through an engine's own RNG
-// streams or any sequential generator. That is the property that makes
-// the layer engine-independent: the coroutine scheduler evaluating
-// "does the link (u, v) drop its messages in round t?" and a bulk-engine
-// lane evaluating the same question on another thread, in another
-// order, at another lane count, compute the identical bit. Message loss
-// is symmetric per link per round (one draw for both directions), so a
+// identity): one util::keyed_uniform of a key that folds the entity the
+// fault hits — the undirected edge and round for message loss, the node
+// and round for crashes and leaves — never an engine's own RNG streams
+// or any sequential generator. That is the property that makes the
+// layer engine-independent: the coroutine scheduler evaluating "does
+// the link (u, v) drop its messages in round t?" and a bulk-engine lane
+// evaluating the same question on another thread, in another order, at
+// another lane count, compute the identical bit. Message loss is
+// symmetric per link per round (one draw for both directions), so a
 // receiver-side count of surviving messages equals the sender-side
 // count of deliveries and per-chunk accounting stays an order-free sum.
+//
+// Keys fold one entity per util::stream_key step, so no two (entity,
+// round) pairs share a draw. Per-round draws key round-first — (seed ^
+// tag, round_lo, round_hi, entity) — and FaultState::links / nodes
+// compute the round half once, so a bulk scan pays one hash per
+// neighbor it checks. The burst channel keys (seed ^ tag, epoch_hi,
+// edge, epoch_lo): the edge before epoch_lo, because its scan walks
+// back over the epochs of one edge.
 #pragma once
 
 #include <algorithm>
@@ -68,8 +76,8 @@ struct BurstSpec {
 
 /// Mid-run churn (bulk engine only): each round a node participates in,
 /// it leaves the network with probability `leave_prob` (keyed on
-/// (node, round), exactly like crash draws). A leaver's downtime is
-/// drawn at leave time from the same stream — geometric with per-round
+/// (round, node), exactly like crash draws). A leaver's downtime is
+/// drawn at leave time from the same key — geometric with per-round
 /// rejoin probability `join_prob`, distributionally identical to
 /// independent per-round rejoin draws — after which it re-enters the
 /// protocol in a reset state at the next faulty round. join_prob == 0
@@ -171,10 +179,14 @@ inline std::uint64_t geometric_from_uniform(double u, double p) {
 
 /// Forced-renewal period of the burst channel's regeneration coupling,
 /// in epochs: every epoch on this grid regenerates from the stationary
-/// law, which bounds FaultState::burst_bad's backward scan at the cost
+/// law, which bounds LinkView::burst_bad's backward scan at the cost
 /// of cutting state correlation across grid boundaries only (the
 /// marginal at every epoch is exactly stationary either way).
 inline constexpr std::uint64_t kBurstRenewalGrid = 64;
+// LinkView's walk tests the grid on the epoch's low word alone, which
+// is exact only while the grid divides 2^64.
+static_assert((kBurstRenewalGrid & (kBurstRenewalGrid - 1)) == 0,
+              "kBurstRenewalGrid must be a power of two");
 
 /// Result of the mid-run leave draw for a participating node.
 struct LeaveDraw {
@@ -192,6 +204,9 @@ struct LeaveDraw {
 /// faults chunk-locally and merge in chunk order.
 class FaultState {
  public:
+  class LinkView;
+  class NodeView;
+
   FaultState() = default;
 
   FaultState(const FaultPlan* plan, std::uint64_t run_seed, VertexId n)
@@ -226,129 +241,56 @@ class FaultState {
   /// The derived fault seed; churn/repair streams key off this.
   std::uint64_t seed() const { return seed_; }
 
+  /// The link draws of one round with everything that depends on the
+  /// round alone (the loss key, the burst epoch) computed once. Rounds
+  /// are passed as (lo, hi) halves of the bulk engine's 128-bit virtual
+  /// clock; the coroutine scheduler passes hi = 0. Bulk scans take the
+  /// view before walking their neighbor spans.
+  LinkView links(std::uint64_t round_lo, std::uint64_t round_hi) const;
+
+  /// The crash and mid-run leave draws of one round, hoisted likewise.
+  NodeView nodes(std::uint64_t round_lo, std::uint64_t round_hi) const;
+
   /// Does node v, awake in the given round, fail-stop at the start of
-  /// it? Rounds are passed as (lo, hi) halves of the bulk engine's
-  /// 128-bit virtual clock; the coroutine scheduler passes hi = 0.
-  /// Only meaningful for rounds in which v is actually awake — both
+  /// it? Only meaningful for rounds in which v is actually awake — both
   /// engines evaluate it exactly there, which is why they agree.
   bool crashes_now(VertexId v, std::uint64_t round_lo,
-                   std::uint64_t round_hi) const {
-    if (!has_crashes()) return false;
-    const auto it = std::lower_bound(
-        crash_at_.begin(), crash_at_.end(), v,
-        [](const auto& e, VertexId node) { return e.first < node; });
-    if (it != crash_at_.end() && it->first == v &&
-        (round_hi > 0 || round_lo >= it->second)) {
-      return true;
-    }
-    if (plan_->crash_prob <= 0.0) return false;
-    const std::uint64_t stream = util::stream_key(
-        util::stream_key(util::stream_tags::kCrashTag ^ v, round_lo), round_hi);
-    return util::stream_rng(seed_, stream).bernoulli(plan_->crash_prob);
-  }
+                   std::uint64_t round_hi) const;
 
-  /// Is the undirected link {a, b} down in the given round? Symmetric:
-  /// the pair is canonicalized, so both directions (and both engines,
-  /// and every lane) share one draw. A link is down when its burst
-  /// channel is in the bad state OR the independent memoryless loss
-  /// draw fires — the two mechanisms compose.
+  /// Is the undirected link {a, b} down in the given round? See
+  /// LinkView::down.
   bool link_down(VertexId a, VertexId b, std::uint64_t round_lo,
-                 std::uint64_t round_hi) const {
-    if (!has_loss()) return false;
-    if (a > b) std::swap(a, b);
-    const std::uint64_t edge = util::stream_key(a, b);
-    if (plan_->burst.enabled() && burst_state(edge, round_lo, round_hi)) {
-      return true;
-    }
-    if (plan_->loss_prob <= 0.0) return false;
-    const std::uint64_t stream = util::stream_key(
-        util::stream_key(util::stream_tags::kLossTag ^ edge, round_lo),
-        round_hi);
-    return util::stream_rng(seed_, stream).bernoulli(plan_->loss_prob);
-  }
+                 std::uint64_t round_hi) const;
 
   /// Is the {a, b} burst channel in its bad (all-dropping) state in the
-  /// given round? A pure function of (edge, epoch(round)): the
-  /// Gilbert-Elliott chain is realized through its regeneration
-  /// coupling — each epoch either copies the previous epoch's state
-  /// (probability 1 - (p_on + p_off)) or regenerates from the
-  /// stationary law Bernoulli(p_on / (p_on + p_off)) — so the state at
-  /// any epoch is found by scanning backward to the most recent
-  /// regenerating epoch. Epochs on the kBurstRenewalGrid always
-  /// regenerate, bounding the scan; every draw is keyed on
-  /// (edge, epoch), so lane count, engine, and evaluation order cannot
-  /// change a single bit.
+  /// given round? See LinkView::burst_bad.
   bool burst_bad(VertexId a, VertexId b, std::uint64_t round_lo,
-                 std::uint64_t round_hi) const {
-    if (!has_burst()) return false;
-    if (a > b) std::swap(a, b);
-    return burst_state(util::stream_key(a, b), round_lo, round_hi);
-  }
+                 std::uint64_t round_hi) const;
 
   /// Mid-run churn: does node v, participating in the given round,
-  /// leave the network now — and if so, for how long? Both decisions
-  /// come from one stream keyed (node, round), so every lane (and a
-  /// serial rerun) computes identical bits. Like crashes_now, only
-  /// meaningful for rounds v actually participates in.
+  /// leave the network now — and if so, for how long? See
+  /// NodeView::leave.
   LeaveDraw live_leave(VertexId v, std::uint64_t round_lo,
-                       std::uint64_t round_hi) const {
-    LeaveDraw draw;
-    if (!has_live_churn()) return draw;
-    const std::uint64_t leave_stream = util::stream_key(
-        util::stream_key(util::stream_tags::kLiveChurnTag ^ v, round_lo),
-        round_hi);
-    auto rng = util::stream_rng(seed_, leave_stream);
-    if (!rng.bernoulli(plan_->live_churn.leave_prob)) return draw;
-    draw.leaves = true;
-    if (plan_->live_churn.join_prob > 0.0) {
-      draw.rejoins = true;
-      draw.downtime = detail::geometric_from_uniform(
-          rng.uniform(), plan_->live_churn.join_prob);
-    }
-    return draw;
-  }
+                       std::uint64_t round_hi) const;
 
   /// Crash recovery: the downtime (>= 1 rounds) before node v, crashed
   /// at the given round, comes back; geometric with mean
-  /// RecoverSpec::mean_down, keyed on (node, crash round).
+  /// RecoverSpec::mean_down, keyed on (crash round, node).
   std::uint64_t recover_downtime(VertexId v, std::uint64_t round_lo,
                                  std::uint64_t round_hi) const {
-    const std::uint64_t recover_stream = util::stream_key(
-        util::stream_key(util::stream_tags::kRecoverTag ^ v, round_lo),
-        round_hi);
-    auto rng = util::stream_rng(seed_, recover_stream);
+    const double u = util::keyed_uniform(
+        round_key(util::stream_tags::kRecoverTag, round_lo, round_hi), v);
     return detail::geometric_from_uniform(
-        rng.uniform(), 1.0 / static_cast<double>(plan_->recover.mean_down));
+        u, 1.0 / static_cast<double>(plan_->recover.mean_down));
   }
 
  private:
-  bool burst_state(std::uint64_t edge, std::uint64_t round_lo,
-                   std::uint64_t round_hi) const {
-    const BurstSpec& burst = plan_->burst;
-    // The coupling needs p_on + p_off <= 1 (CLI-validated); clamping to
-    // the boundary degrades gracefully to i.i.d. stationary states.
-    const double regen_rate = std::min(burst.p_on + burst.p_off, 1.0);
-    const double stationary = burst.stationary_loss();
-    using Wide = unsigned __int128;
-    const Wide round = (Wide{round_hi} << 64) | round_lo;
-    Wide epoch = round / burst.epoch_len;
-    for (;;) {
-      // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split; both halves key the stream
-      const std::uint64_t lo = static_cast<std::uint64_t>(epoch);
-      // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split; both halves key the stream
-      const std::uint64_t hi = static_cast<std::uint64_t>(epoch >> 64);
-      const std::uint64_t burst_stream = util::stream_key(
-          util::stream_key(util::stream_tags::kBurstTag ^ edge, lo), hi);
-      auto rng = util::stream_rng(seed_, burst_stream);
-      // Grid epochs regenerate unconditionally (note the short-circuit:
-      // their streams serve only the state draw), so the scan takes at
-      // most kBurstRenewalGrid steps — in expectation min(1/regen_rate,
-      // grid) stream constructions per queried (edge, round).
-      const bool regenerates =
-          epoch % kBurstRenewalGrid == 0 || rng.bernoulli(regen_rate);
-      if (regenerates) return rng.bernoulli(stationary);
-      --epoch;
-    }
+  /// The round half of a per-round draw key: the fault seed folded with
+  /// the draw's tag, then with both halves of the round. Every entity
+  /// the round's draws hit folds into it in its keyed_uniform.
+  std::uint64_t round_key(std::uint64_t tag, std::uint64_t round_lo,
+                          std::uint64_t round_hi) const {
+    return util::stream_key(util::stream_key(seed_ ^ tag, round_lo), round_hi);
   }
 
   const FaultPlan* plan_ = nullptr;
@@ -356,5 +298,192 @@ class FaultState {
   // Sorted (node, earliest crash round) pairs from the schedule.
   std::vector<std::pair<VertexId, std::uint64_t>> crash_at_;
 };
+
+/// The link draws of one round (FaultState::links). A plain value: it
+/// copies the keys and thresholds it needs, so the hot neighbor loop
+/// reads nothing through the plan.
+class FaultState::LinkView {
+ public:
+  /// Is the undirected link {a, b} down in this round? Symmetric: the
+  /// pair is canonicalized, so both directions (and both engines, and
+  /// every lane) share one draw. A link is down when its burst channel
+  /// is in the bad state OR the independent memoryless loss draw fires
+  /// — the two mechanisms compose. Always false without a loss plan.
+  bool down(VertexId a, VertexId b) const {
+    const std::uint64_t edge = edge_id(a, b);
+    if (burst_ && burst_state(edge)) return true;
+    return loss_prob_ > 0.0 && util::keyed_uniform(loss_key_, edge) < loss_prob_;
+  }
+
+  /// Is the {a, b} burst channel in its bad (all-dropping) state in
+  /// this round? A pure function of (edge, epoch): the Gilbert-Elliott
+  /// chain is realized through its regeneration coupling — each epoch
+  /// either copies the previous epoch's state (probability
+  /// 1 - (p_on + p_off)) or regenerates from the stationary law
+  /// Bernoulli(p_on / (p_on + p_off)) — so the state at any epoch is
+  /// found by scanning backward to the most recent regenerating epoch.
+  /// Epochs on the kBurstRenewalGrid always regenerate, bounding the
+  /// scan; every draw is keyed on (edge, epoch), so lane count, engine,
+  /// and evaluation order cannot change a single bit.
+  bool burst_bad(VertexId a, VertexId b) const {
+    return burst_ && burst_state(edge_id(a, b));
+  }
+
+ private:
+  friend class FaultState;
+
+  /// The undirected link's id: the canonical pair packed into one word,
+  /// so distinct links never share an id.
+  static std::uint64_t edge_id(VertexId a, VertexId b) {
+    if (a > b) std::swap(a, b);
+    return (std::uint64_t{a} << 32) | b;
+  }
+
+  // Kept out of line: inlined into a scan's neighbor loop, the walk's
+  // registers crowd the loop's fault-free path, which then spills its
+  // iterator (measured ~10% slower fault-free SleepingMIS and Luby-B
+  // scans). Defined in the header, so the compiler still sees that it
+  // writes no memory and keeps the loop's loads hoisted.
+  [[gnu::noinline]] bool burst_state(std::uint64_t edge) const {
+    // The edge folds in once per query, then each epoch the scan visits
+    // costs one hash. Grid epochs (epoch_lo on the grid, since the grid
+    // divides 2^64) regenerate unconditionally, so the scan never
+    // leaves the view's epoch_hi and takes at most kBurstRenewalGrid
+    // steps — in expectation min(1/regen_rate, grid). The state uniform
+    // is drawn on the regenerating epoch only.
+    const std::uint64_t edge_key = util::stream_key(burst_key_, edge);
+    for (std::uint64_t lo = epoch_lo_;; --lo) {
+      if (lo % kBurstRenewalGrid == 0 ||
+          util::keyed_uniform(edge_key, lo) < regen_rate_) {
+        return util::keyed_uniform(util::stream_key(edge_key, lo), 1) <
+               stationary_;
+      }
+    }
+  }
+
+  std::uint64_t loss_key_ = 0;
+  double loss_prob_ = 0.0;
+  bool burst_ = false;
+  std::uint64_t burst_key_ = 0;
+  std::uint64_t epoch_lo_ = 0;
+  double regen_rate_ = 0.0;
+  double stationary_ = 0.0;
+};
+
+/// The crash and mid-run leave draws of one round (FaultState::nodes).
+/// Borrows the FaultState it came from.
+class FaultState::NodeView {
+ public:
+  /// Does node v, awake in this round, fail-stop at the start of it?
+  bool crashes(VertexId v) const {
+    if (!fs_->has_crashes()) return false;
+    const auto& schedule = fs_->crash_at_;
+    const auto it = std::lower_bound(
+        schedule.begin(), schedule.end(), v,
+        [](const auto& e, VertexId node) { return e.first < node; });
+    if (it != schedule.end() && it->first == v &&
+        (round_hi_ > 0 || round_lo_ >= it->second)) {
+      return true;
+    }
+    const double crash_prob = fs_->plan_->crash_prob;
+    return crash_prob > 0.0 && util::keyed_uniform(crash_key_, v) < crash_prob;
+  }
+
+  /// Does node v, participating in this round, leave the network now —
+  /// and if so, for how long? Both come from one key, (round, node): the
+  /// downtime is a second hash of it, so every lane (and a serial
+  /// rerun) computes identical bits. Like crashes, only meaningful for
+  /// rounds v actually participates in.
+  LeaveDraw leave(VertexId v) const {
+    LeaveDraw draw;
+    if (!fs_->has_live_churn()) return draw;
+    const LiveChurnSpec& spec = fs_->plan_->live_churn;
+    if (!(util::keyed_uniform(leave_key_, v) < spec.leave_prob)) return draw;
+    draw.leaves = true;
+    if (spec.join_prob > 0.0) {
+      draw.rejoins = true;
+      draw.downtime = detail::geometric_from_uniform(
+          util::keyed_uniform(util::stream_key(leave_key_, v), 1),
+          spec.join_prob);
+    }
+    return draw;
+  }
+
+ private:
+  friend class FaultState;
+
+  const FaultState* fs_ = nullptr;
+  std::uint64_t round_lo_ = 0;
+  std::uint64_t round_hi_ = 0;
+  std::uint64_t crash_key_ = 0;
+  std::uint64_t leave_key_ = 0;
+};
+
+inline FaultState::LinkView FaultState::links(std::uint64_t round_lo,
+                                              std::uint64_t round_hi) const {
+  LinkView view;
+  if (!has_loss()) return view;
+  if (plan_->loss_prob > 0.0) {
+    view.loss_prob_ = plan_->loss_prob;
+    view.loss_key_ =
+        round_key(util::stream_tags::kLossTag, round_lo, round_hi);
+  }
+  if (has_burst()) {
+    const BurstSpec& burst = plan_->burst;
+    using Wide = unsigned __int128;
+    const Wide epoch = ((Wide{round_hi} << 64) | round_lo) / burst.epoch_len;
+    // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split; both halves key the stream
+    view.epoch_lo_ = static_cast<std::uint64_t>(epoch);
+    // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split; both halves key the stream
+    const std::uint64_t epoch_hi = static_cast<std::uint64_t>(epoch >> 64);
+    view.burst_ = true;
+    view.burst_key_ =
+        util::stream_key(seed_ ^ util::stream_tags::kBurstTag, epoch_hi);
+    // The coupling needs p_on + p_off <= 1 (CLI-validated); clamping to
+    // the boundary degrades gracefully to i.i.d. stationary states.
+    view.regen_rate_ = std::min(burst.p_on + burst.p_off, 1.0);
+    view.stationary_ = burst.stationary_loss();
+  }
+  return view;
+}
+
+inline FaultState::NodeView FaultState::nodes(std::uint64_t round_lo,
+                                              std::uint64_t round_hi) const {
+  NodeView view;
+  view.fs_ = this;
+  view.round_lo_ = round_lo;
+  view.round_hi_ = round_hi;
+  if (has_crashes() && plan_->crash_prob > 0.0) {
+    view.crash_key_ =
+        round_key(util::stream_tags::kCrashTag, round_lo, round_hi);
+  }
+  if (has_live_churn()) {
+    view.leave_key_ =
+        round_key(util::stream_tags::kLiveChurnTag, round_lo, round_hi);
+  }
+  return view;
+}
+
+inline bool FaultState::crashes_now(VertexId v, std::uint64_t round_lo,
+                                    std::uint64_t round_hi) const {
+  return nodes(round_lo, round_hi).crashes(v);
+}
+
+inline bool FaultState::link_down(VertexId a, VertexId b,
+                                  std::uint64_t round_lo,
+                                  std::uint64_t round_hi) const {
+  return links(round_lo, round_hi).down(a, b);
+}
+
+inline bool FaultState::burst_bad(VertexId a, VertexId b,
+                                  std::uint64_t round_lo,
+                                  std::uint64_t round_hi) const {
+  return links(round_lo, round_hi).burst_bad(a, b);
+}
+
+inline LeaveDraw FaultState::live_leave(VertexId v, std::uint64_t round_lo,
+                                        std::uint64_t round_hi) const {
+  return nodes(round_lo, round_hi).leave(v);
+}
 
 }  // namespace slumber::fault

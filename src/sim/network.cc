@@ -153,8 +153,10 @@ const Metrics& Network::run(const Protocol& protocol) {
     // Crash injection happens first: a node that fail-stops this round
     // sends nothing and receives nothing (it is simply absent).
     if (fault_.has_crashes()) {
+      const fault::FaultState::NodeView node_faults =
+          fault_.nodes(current_round_, 0);
       std::erase_if(awake, [&](VertexId v) {
-        if (!fault_.crashes_now(v, current_round_, 0)) return false;
+        if (!node_faults.crashes(v)) return false;
         finished_[v] = true;
         metrics_.node[v].crashed = true;
         metrics_.node[v].finish_round = current_round_;

@@ -59,7 +59,7 @@ struct NetworkOptions {
   /// its coroutine never resumes, outputs decided before the crash are
   /// kept, and an undecided crashed node reports -1. Message loss hits
   /// otherwise-deliverable messages only. Every fault decision is a
-  /// keyed util::stream_rng draw, so the bulk engine evaluating the
+  /// keyed util::keyed_uniform draw, so the bulk engine evaluating the
   /// same plan under the same seed injects the identical faults.
   /// FaultPlan::churn is a bulk-only feature and is ignored here.
   const fault::FaultPlan* fault = nullptr;

@@ -1,5 +1,6 @@
 // The keyed RNG stream-tag registry: every domain-separation tag that
-// keys a util::stream_rng draw lives here, as a named constant.
+// keys a util::stream_rng or util::keyed_uniform draw lives here, as a
+// named constant.
 //
 // Why a registry: a keyed stream's identity is (seed, stream), and the
 // stream id is built by folding a 64-bit *tag* with the faulted /
@@ -23,13 +24,20 @@
 //      mix the tag with entity keys whose entropy lives in the low
 //      bits (node ids, rounds), so the high half is the part that must
 //      carry the domain separation on its own.
-//   3. Every util::stream_rng call site under src/ either derives its
-//      stream argument from a registered tag, or sits on a documented
-//      block-counter discipline (a dense counter over disjoint work
-//      blocks, e.g. the sharded G(n, p) generator's per-block streams)
-//      marked with an adjacent
+//   3. Every keyed draw under src/ — a util::stream_rng stream or a
+//      util::keyed_uniform (key, entity) pair — either derives its key
+//      from a registered tag, directly or through the few definitions
+//      a hoisted key passes (the fault layer folds seed ^ tag with the
+//      round once per round, FaultState::links / nodes, and each
+//      entity into that), or sits on a documented block-counter
+//      discipline (a dense counter over disjoint work blocks, e.g. the
+//      sharded G(n, p) generator's per-block streams) marked with an
+//      adjacent
 //          // SLUMBER-STREAM-DISCIPLINE(block-counter): <why sound>
-//      annotation. Anything else is a slumber-d6 finding.
+//      annotation. Anything else is a slumber-d6 finding. Keys fold one
+//      entity per util::stream_key step, never tag ^ entity followed
+//      by a second entity: stream_key is a bijection in each argument,
+//      so tag ^ v folded with k makes distinct (v, k) pairs collide.
 //
 // Adding a tag: pick a fresh high-32 prefix (grep this file), keep the
 // low half as a small serial, add the annotation line, append it to
@@ -41,16 +49,16 @@
 
 namespace slumber::util::stream_tags {
 
-// SLUMBER-STREAM-TAG(loss): symmetric per-(edge, round) message-loss
-// draws (fault/fault.h, FaultState::link_down).
+// SLUMBER-STREAM-TAG(loss): symmetric per-(round, edge) message-loss
+// draws (fault/fault.h, FaultState::LinkView::down).
 inline constexpr std::uint64_t kLossTag = 0x10557AD0'5EED'0001ULL;
 
-// SLUMBER-STREAM-TAG(crash): per-(node, round) fail-stop draws
-// (fault/fault.h, FaultState::crashes_now).
+// SLUMBER-STREAM-TAG(crash): per-(round, node) fail-stop draws
+// (fault/fault.h, FaultState::NodeView::crashes).
 inline constexpr std::uint64_t kCrashTag = 0xC4A54AD0'5EED'0002ULL;
 
-// SLUMBER-STREAM-TAG(churn): per-(node, batch) membership draws of the
-// post-run churn stream (fault/churn.cc).
+// SLUMBER-STREAM-TAG(churn): per-(batch, node) membership draws of the
+// post-run churn stream (fault/churn.cc, churn_uniform).
 inline constexpr std::uint64_t kChurnTag = 0xC4024AD0'5EED'0003ULL;
 
 // SLUMBER-STREAM-TAG(repair): per-node repair priorities of the
@@ -59,15 +67,15 @@ inline constexpr std::uint64_t kRepairTag = 0x4EBA14D0'5EED'0004ULL;
 
 // SLUMBER-STREAM-TAG(burst): per-(edge, epoch) Gilbert-Elliott channel
 // regeneration + state draws of the burst-loss model (fault/fault.h,
-// FaultState::burst_bad).
+// FaultState::LinkView::burst_bad).
 inline constexpr std::uint64_t kBurstTag = 0xB5257AD0'5EED'0005ULL;
 
-// SLUMBER-STREAM-TAG(live-churn): per-(node, round) mid-run leave draws
-// plus the rejoin-downtime draw taken from the same stream at leave
-// time (fault/fault.h, FaultState::live_leave).
+// SLUMBER-STREAM-TAG(live-churn): per-(round, node) mid-run leave draws
+// plus the rejoin-downtime draw taken from the same key at leave time
+// (fault/fault.h, FaultState::NodeView::leave).
 inline constexpr std::uint64_t kLiveChurnTag = 0x11FEC4D0'5EED'0006ULL;
 
-// SLUMBER-STREAM-TAG(recover): per-(node, crash round) downtime draws
+// SLUMBER-STREAM-TAG(recover): per-(crash round, node) downtime draws
 // of crash recovery (fault/fault.h, FaultState::recover_downtime).
 inline constexpr std::uint64_t kRecoverTag = 0x4EC0FED0'5EED'0007ULL;
 

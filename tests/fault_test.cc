@@ -14,18 +14,22 @@
 //      trajectory is lane-count-independent.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "bulk/baselines.h"
 #include "bulk/engine.h"
+#include "chi_square_test_util.h"
 #include "fault/churn.h"
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "metrics_test_util.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace slumber {
@@ -92,6 +96,138 @@ TEST(FaultState, SaltSeparatesStreams) {
     differ += fa.link_down(1, 2, round, 0) != fb.link_down(1, 2, round, 0);
   }
   EXPECT_GT(differ, 0u);
+}
+
+// The hoisted per-round view computes the direct call's bits: random
+// pairs, both orientations, 128-bit rounds with a non-zero high half,
+// the first burst epochs, and epochs on either side of the renewal grid
+// (where the backward scan is longest or is cut).
+TEST(FaultState, LinkViewMatchesLinkDown) {
+  using Wide = unsigned __int128;
+  fault::FaultPlan plan;
+  plan.loss_prob = 0.1;
+  plan.burst = {.p_on = 0.05, .p_off = 0.25, .epoch_len = 4};
+  const fault::FaultState fs(&plan, 19, 1 << 20);
+  std::vector<std::uint64_t> epochs = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    const std::uint64_t grid = k * fault::kBurstRenewalGrid;
+    epochs.insert(epochs.end(), {grid - 2, grid - 1, grid, grid + 1});
+  }
+  Rng rng(5);
+  std::uint64_t down = 0;
+  std::uint64_t checked = 0;
+  for (const std::uint64_t epoch_hi : {0, 1}) {
+    for (const std::uint64_t epoch_lo : epochs) {
+      for (const std::uint64_t offset : {0, 3}) {
+        const Wide round =
+            ((Wide{epoch_hi} << 64) | epoch_lo) * plan.burst.epoch_len + offset;
+        const auto lo = static_cast<std::uint64_t>(round);
+        const auto hi = static_cast<std::uint64_t>(round >> 64);
+        const auto links = fs.links(lo, hi);
+        for (int i = 0; i < 200; ++i) {
+          const auto a = static_cast<VertexId>(rng.below(1 << 20));
+          const auto b = static_cast<VertexId>(rng.below(1 << 20));
+          const bool d = links.down(a, b);
+          EXPECT_EQ(d, fs.link_down(a, b, lo, hi));
+          EXPECT_EQ(d, links.down(b, a));
+          EXPECT_EQ(links.burst_bad(a, b), fs.burst_bad(a, b, lo, hi));
+          EXPECT_EQ(links.burst_bad(a, b), links.burst_bad(b, a));
+          down += d ? 1 : 0;
+          ++checked;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so the comparisons above are not all of
+  // constant views.
+  EXPECT_GT(down, 0u);
+  EXPECT_LT(down, checked);
+}
+
+// --- fault keys -----------------------------------------------------
+
+/// Tallies the two bits `pair_bits` draws from one FaultState over
+/// 20000 salts of `plan` and returns their 2x2 chi-square.
+template <typename PairBits>
+double salt_chi_square(fault::FaultPlan plan, const PairBits& pair_bits) {
+  std::array<std::array<double, 2>, 2> table{};
+  for (std::uint64_t salt = 0; salt < 20000; ++salt) {
+    plan.salt = salt;
+    const fault::FaultState fs(&plan, 42, 16);
+    const std::pair<bool, bool> bits = pair_bits(fs);
+    table[bits.first ? 1 : 0][bits.second ? 1 : 0] += 1;
+  }
+  return chi_square_2x2(table);
+}
+
+// Every fault draw keys one entity per stream_key step. Folding a tag
+// with the node id and then the round, stream_key(tag ^ v, round), made
+// (v = 0, round 1) and (v = 1, round 2) share a draw, and the old edge
+// id stream_key(a, b) gave the links {0, 1} and {1, 2} one id. Each
+// such pair must now draw independent bits.
+TEST(FaultKeys, EntityRoundPairsIndependent) {
+  fault::FaultPlan crash;
+  crash.crash_prob = 0.5;
+  EXPECT_LT(salt_chi_square(crash,
+                            [](const fault::FaultState& fs) {
+                              return std::pair{fs.crashes_now(0, 1, 0),
+                                               fs.crashes_now(1, 2, 0)};
+                            }),
+            15.0)
+      << "crash";
+
+  fault::FaultPlan leave;
+  leave.live_churn = {.leave_prob = 0.5, .join_prob = 0.0};
+  EXPECT_LT(salt_chi_square(leave,
+                            [](const fault::FaultState& fs) {
+                              return std::pair{fs.live_leave(0, 1, 0).leaves,
+                                               fs.live_leave(1, 2, 0).leaves};
+                            }),
+            15.0)
+      << "live leave";
+
+  // mean_down 2: a downtime of exactly one round has probability 1/2.
+  fault::FaultPlan recover;
+  recover.crash_prob = 0.5;
+  recover.recover.mean_down = 2;
+  EXPECT_LT(salt_chi_square(recover,
+                            [](const fault::FaultState& fs) {
+                              return std::pair{
+                                  fs.recover_downtime(0, 1, 0) == 1,
+                                  fs.recover_downtime(1, 2, 0) == 1};
+                            }),
+            15.0)
+      << "recover";
+
+  EXPECT_LT(salt_chi_square(fault::FaultPlan{},
+                            [](const fault::FaultState& fs) {
+                              return std::pair{
+                                  fault::churn_uniform(fs.seed(), 1, 0) < 0.5,
+                                  fault::churn_uniform(fs.seed(), 2, 1) < 0.5};
+                            }),
+            15.0)
+      << "post-run churn";
+
+  fault::FaultPlan loss;
+  loss.loss_prob = 0.5;
+  EXPECT_LT(salt_chi_square(loss,
+                            [](const fault::FaultState& fs) {
+                              return std::pair{fs.link_down(0, 1, 5, 0),
+                                               fs.link_down(1, 2, 5, 0)};
+                            }),
+            15.0)
+      << "loss";
+
+  // p_on + p_off = 1: every epoch regenerates, bad with probability 1/2.
+  fault::FaultPlan burst;
+  burst.burst = {.p_on = 0.5, .p_off = 0.5, .epoch_len = 1};
+  EXPECT_LT(salt_chi_square(burst,
+                            [](const fault::FaultState& fs) {
+                              return std::pair{fs.burst_bad(0, 1, 5, 0),
+                                               fs.burst_bad(1, 2, 5, 0)};
+                            }),
+            15.0)
+      << "burst";
 }
 
 // --- lane-independence of faulty bulk runs --------------------------

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "chi_square_test_util.h"
 #include "util/rng.h"
 #include "util/stream_rng.h"
 
@@ -175,21 +176,6 @@ TEST(KeyedDrawTest, CoinShareWithinFiveSigmaOfBias) {
     EXPECT_LT(std::abs(share - bias), 5 * std::sqrt(bias * (1 - bias) / draws))
         << "bias " << bias;
   }
-}
-
-/// Pearson chi-square of a 2x2 contingency table (one degree of
-/// freedom): large when the two bits of a pair are dependent.
-double chi_square_2x2(const std::array<std::array<double, 2>, 2>& t) {
-  const double total = t[0][0] + t[0][1] + t[1][0] + t[1][1];
-  double chi = 0;
-  for (int a = 0; a < 2; ++a) {
-    for (int b = 0; b < 2; ++b) {
-      const double expected =
-          (t[a][0] + t[a][1]) * (t[0][b] + t[1][b]) / total;
-      chi += (t[a][b] - expected) * (t[a][b] - expected) / expected;
-    }
-  }
-  return chi;
 }
 
 TEST(KeyedDrawTest, AdjacentKeysIndependent) {

@@ -21,10 +21,12 @@ analyzer resolves definitions and uses across statements and files:
               every domain-separation tag; the checker proves the
               registry well-formed (annotation format, kAllStreamTags
               listing, pairwise-distinct high 32 bits) and that every
-              util::stream_rng call site under src/ keys its stream
-              through a registered tag (directly or via a one-hop local
-              definition) or sits on a documented block-counter
-              discipline marked SLUMBER-STREAM-DISCIPLINE(block-counter).
+              keyed draw under src/ -- a util::stream_rng stream or a
+              util::keyed_uniform key -- derives from a registered tag
+              (directly, or through up to D6_MAX_HOPS local or member
+              definitions, the way hoisted per-round fault keys are
+              built) or sits on a documented block-counter discipline
+              marked SLUMBER-STREAM-DISCIPLINE(block-counter).
   slumber-d7  Clock-width safety. The bulk engine's virtual clock is
               128-bit (VirtualRound); narrowing it to 64 bits anywhere
               except the blessed saturate helpers (saturate_round /
@@ -148,7 +150,15 @@ ATOMIC_RE = re.compile(
 BLESSED_HELPERS = ("saturate_round", "round_halves")
 BLESSED_DEF_RE = re.compile(
     r"\b(?:" + "|".join(BLESSED_HELPERS) + r")\s*\(")
-STREAM_CALL_RE = re.compile(r"\bstream_rng\s*\(")
+# Keyed draws and their arity: stream_rng(seed, stream) and
+# keyed_uniform(key, entity). See draw_key_text for the arguments that
+# must derive from a registered tag.
+STREAM_DRAW_ARGS = {"stream_rng": 2, "keyed_uniform": 2}
+STREAM_CALL_RE = re.compile(r"\b(stream_rng|keyed_uniform)\s*\(")
+# Definitions a keyed draw's key may be traced through: a hoisted
+# per-round key is folded from the tag in one place and read by a
+# later fold (round key -> entity key -> draw), so one hop is too few.
+D6_MAX_HOPS = 4
 OBS_READ_RE = re.compile(r"\bobs::(?:peak_rss_kb\s*\(|proc::)")
 DISCIPLINE_RE = re.compile(r"SLUMBER-STREAM-DISCIPLINE\(block-counter\)")
 TAG_DECL_RE = re.compile(
@@ -428,6 +438,15 @@ def extract_pool_lambdas(model: FileModel, text: str,
             body_line=line_of(starts, bstart)))
 
 
+def draw_key_text(name: str, args: list[str]) -> str:
+    """The arguments of a keyed draw that carry its key: stream_rng's
+    stream (its seed is the run's, shared by every subsystem), or both
+    of keyed_uniform's (key, entity) -- a hoisted key may sit in
+    either."""
+    keyed = args[-1:] if name == "stream_rng" else args
+    return ", ".join(a.strip() for a in keyed)
+
+
 def extract_stream_calls(model: FileModel, text: str,
                          starts: list[int]) -> None:
     for call in STREAM_CALL_RE.finditer(text):
@@ -436,13 +455,13 @@ def extract_stream_calls(model: FileModel, text: str,
         if close < 0:
             continue
         if text[close + 1:].lstrip().startswith("{"):
-            continue  # the stream_rng definition itself, not a draw
+            continue  # the draw helper's definition itself, not a draw
         args = split_args(text[open_paren + 1:close])
-        if len(args) < 2:
+        if len(args) < STREAM_DRAW_ARGS[call.group(1)]:
             continue  # declaration or partial application: not a draw
         model.stream_calls.append(StreamCall(
             line=line_of(starts, call.start()),
-            stream_arg=args[-1].strip()))
+            stream_arg=draw_key_text(call.group(1), args)))
 
 
 def blessed_extents(text: str) -> list[tuple[int, int]]:
@@ -613,14 +632,13 @@ def build_model_ast(abspath: str, relpath: str, src: SourceFile,
                             body=mask_nested_dispatchers(
                                 btext.strip("{}")),
                             body_line=body.extent.start.line - 1))
-            if name == "stream_rng":
-                args = [a for a in cursor.get_arguments()]
-                if len(args) >= 2:
-                    atext, _ = _extent_text(text, starts,
-                                            args[-1].extent)
+            if name in STREAM_DRAW_ARGS:
+                args = [_extent_text(text, starts, a.extent)[0]
+                        for a in cursor.get_arguments()]
+                if len(args) >= STREAM_DRAW_ARGS[name]:
                     model.stream_calls.append(StreamCall(
                         line=cursor.location.line - 1,
-                        stream_arg=atext.strip()))
+                        stream_arg=draw_key_text(name, args)))
         if kind == CK.CXX_STATIC_CAST_EXPR and in_main_file(cursor):
             target = cursor.type.spelling
             if re.fullmatch(
@@ -996,21 +1014,7 @@ def check_d6_callsites(model: FileModel, registry: Registry,
     tag_names = set(registry.tags)
     for call in model.stream_calls:
         arg = call.stream_arg
-        if word_in(arg, tag_names):
-            continue
-        # One-hop lookup: the stream variable's definition(s).
-        resolved = False
-        for ident in WORD_RE.findall(arg):
-            if ident in CONTROL_KEYWORDS:
-                continue
-            for dm in re.finditer(
-                    rf"\b{re.escape(ident)}\s*=\s*([^;]*);", text):
-                if word_in(dm.group(1), tag_names):
-                    resolved = True
-                    break
-            if resolved:
-                break
-        if resolved:
+        if key_derives_from_tag(arg, text, tag_names):
             continue
         window = range(max(0, call.line - 3), call.line + 1)
         if any(DISCIPLINE_RE.search(model.src.comments[j])
@@ -1020,12 +1024,33 @@ def check_d6_callsites(model: FileModel, registry: Registry,
             continue
         findings.append(Finding(
             model.relpath, call.line + 1, "slumber-d6",
-            f"util::stream_rng stream argument '{arg}' does not key "
-            f"through a registered tag (util/stream_tags.h) and is "
-            f"not marked `// SLUMBER-STREAM-DISCIPLINE(block-counter): "
+            f"keyed draw argument '{arg}' does not key through a "
+            f"registered tag (util/stream_tags.h) and is not marked "
+            f"`// SLUMBER-STREAM-DISCIPLINE(block-counter): "
             f"<why sound>`: unregistered streams can silently collide "
             f"with another subsystem's draws"))
     return findings
+
+
+def key_derives_from_tag(arg: str, text: str, tag_names: set[str]) -> bool:
+    """True iff `arg` names a registered tag, or one of its identifiers
+    has a definition (`ident = ...;` anywhere in the file) that does,
+    following definitions up to D6_MAX_HOPS deep."""
+    frontier = [arg]
+    seen: set[str] = set()
+    for _ in range(D6_MAX_HOPS + 1):
+        next_frontier = []
+        for expr in frontier:
+            if word_in(expr, tag_names):
+                return True
+            for ident in WORD_RE.findall(expr):
+                if ident in CONTROL_KEYWORDS or ident in seen:
+                    continue
+                seen.add(ident)
+                next_frontier += [dm.group(1) for dm in re.finditer(
+                    rf"\b{re.escape(ident)}\s*=\s*([^;]*);", text)]
+        frontier = next_frontier
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -75,22 +75,34 @@ PLANTS = [
     (
         "d6-churn-unregistered-stream",
         "src/fault/churn.cc",
-        "util::stream_tags::kChurnTag ^ static_cast<VertexId>(v)",
-        "0x99990000ULL ^ static_cast<VertexId>(v)",
+        "fault_seed ^ util::stream_tags::kChurnTag",
+        "fault_seed ^ 0x99990000ULL",
         "slumber-d6",
     ),
     (
+        # The fault layer's per-round keys are folded once per round
+        # (FaultState::links / nodes) and read by the per-entity draws:
+        # a literal in the hoisted fold must still be traced and caught.
         "d6-live-churn-unregistered-stream",
         "src/fault/fault.h",
-        "util::stream_tags::kLiveChurnTag ^ v",
-        "0xBADC0DE5EEDULL ^ v",
+        "round_key(util::stream_tags::kLiveChurnTag, round_lo, round_hi)",
+        "round_key(0xBADC0DE5EEDULL, round_lo, round_hi)",
         "slumber-d6",
     ),
     (
+        "d6-loss-unregistered-stream",
+        "src/fault/fault.h",
+        "round_key(util::stream_tags::kLossTag, round_lo, round_hi)",
+        "round_key(0x1055BADULL, round_lo, round_hi)",
+        "slumber-d6",
+    ),
+    (
+        # The burst walk's key is three definitions away from its tag
+        # (epoch key -> edge key -> view member).
         "d6-burst-unregistered-stream",
         "src/fault/fault.h",
-        "util::stream_tags::kBurstTag ^ edge",
-        "0xFEED5EEDULL ^ edge",
+        "seed_ ^ util::stream_tags::kBurstTag",
+        "seed_ ^ 0xFEED5EEDULL",
         "slumber-d6",
     ),
     (

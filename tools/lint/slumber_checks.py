@@ -20,8 +20,9 @@ so this checker enforces them directly:
               make trial output machine-dependent.
               src/fault/ additionally bans sequential RNG state (Rng
               construction, Rng::split, engine node_rng streams): every
-              fault decision must be a pure keyed util::stream_rng
-              draw, which is what makes the fault layer engine- and
+              fault decision must be a pure keyed draw
+              (util::keyed_uniform or util::stream_rng), which is what
+              makes the fault layer engine- and
               lane-count-independent.
   slumber-d2  No iteration over std::unordered_map/set/multimap/multiset
               anywhere findings-bearing code lives (src/, bench/,
@@ -316,7 +317,7 @@ D1_OBS_READBACK_EXPLANATION = (
 
 # src/fault/ extension: the fault layer's contract is that every
 # probabilistic decision is a pure function of (seed, entity) via
-# util::stream_rng. Sequential generator state — a constructed Rng, a
+# util::keyed_uniform (or util::stream_rng). Sequential generator state — a constructed Rng, a
 # state-derived split, or a protocol's per-node engine stream — makes a
 # draw depend on consumption order, which breaks the bitwise agreement
 # between the coroutine and bulk back ends and across lane counts.
@@ -328,13 +329,13 @@ D1_FAULT_PATTERNS = (
 )
 
 D1_FAULT_EXPLANATIONS = {
-    "sequential Rng": "fault draws must be pure keyed util::stream_rng "
+    "sequential Rng": "fault draws must be pure keyed util::keyed_uniform "
                       "calls; a constructed generator's output depends on "
                       "consumption order, breaking engine- and "
                       "lane-independence",
     "Rng::split": "state-derived child streams depend on how much of the "
-                  "parent was consumed; key a util::stream_rng stream by "
-                  "the faulted entity instead",
+                  "parent was consumed; key a util::keyed_uniform draw "
+                  "by the faulted entity instead",
     "engine node stream": "per-node engine streams belong to the "
                           "protocols; fault decisions consuming them would "
                           "perturb the fault-free trajectory",
