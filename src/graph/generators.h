@@ -90,7 +90,7 @@ struct ShardedGnpStats {
 };
 
 struct ShardedGnpOptions {
-  /// Shards both CSR passes (degree count, fill) and the up-range sort
+  /// Shards both CSR passes (sampling + degree count, up-half claims)
   /// over this pool's lanes; null runs the identical block schedule
   /// serially (the bitwise reference). Borrowed, not owned.
   util::ThreadPool* pool = nullptr;
@@ -104,8 +104,9 @@ struct ShardedGnpOptions {
 };
 
 /// Erdos-Renyi G(n, p): the counter-based per-block seed schedule (see
-/// the header comment), streamed straight into CSR with no edge-list
-/// stage, both passes parallel over the options' pool. Output is a
+/// the header comment of sharded_gnp.cc). Each edge is drawn once and
+/// staged inside the adjacency array, so the build maps no edge list;
+/// both passes run parallel over the options' pool. Output is a
 /// pure function of (n, p, seed) — bitwise identical for every lane
 /// count including the serial pool-less path.
 Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,

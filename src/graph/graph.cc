@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "obs/obs.h"
+
 namespace slumber {
 
 VertexId checked_vertex_count(std::uint64_t n, const char* what) {
@@ -84,6 +86,7 @@ Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
     throw std::invalid_argument("Graph::from_csr: malformed CSR shape");
   }
   checked_edge_count(adjacency.size() / 2, "Graph::from_csr");
+  obs::Span span("graph", "from_csr_validate", n);
   Graph g;
   g.n_ = n;
   g.num_edges_ = adjacency.size() / 2;

@@ -1,5 +1,5 @@
 // Sharded G(n, p) generation: counter-based per-block RNG streams and
-// a parallel two-pass CSR build.
+// a parallel two-pass CSR build that draws every edge once.
 //
 // One RNG stream consumed sequentially across the whole vertex
 // triangle would make generation inherently serial — at n = 10^8 the
@@ -13,44 +13,58 @@
 // of (n, p, seed): lane counts, block claim order, and interleaving
 // cannot change it.
 //
-// Determinism of the *CSR layout* needs one more step. A vertex x's
-// adjacency range is [down-neighbors u < x][up-neighbors v > x], both
-// ascending:
+// Pass 1 is the only run of each block's stream. It counts degree
+// halves — down[x] (neighbors below x, single writer block(x)) and
+// up[u] (neighbors above u, relaxed atomic increments when sharded,
+// whose sum is order-free) — and stages the block's down-neighbors,
+// v-major with both coordinates ascending, in a segment reserved for
+// the block. Pass 2 builds the CSR from the staged rows and draws no
+// random numbers. A vertex x's adjacency range is
+// [down-neighbors u < x][up-neighbors v > x], both ascending:
 //
-//  * The down half is written only by block(x) — while the block walks
-//    row x it appends each sampled u in ascending order. Single
-//    writer, deterministic order.
-//  * The up half receives x's higher neighbors from whichever blocks
-//    own them. When blocks are sharded over more than one lane, slots
-//    are claimed with a relaxed atomic cursor fetch_add, so the
-//    *positions* depend on scheduling — but the *set* does not. A final
-//    parallel per-vertex sort of the up half restores the unique
-//    ascending layout, making the full CSR bitwise identical at every
-//    lane count (the pool-less serial path runs the identical block
-//    schedule and is the reference).
+//  * Down halves: each row's staged run is copied to offsets[x], rows
+//    ascending. The staged runs are already the ascending down halves.
+//  * Up halves are claimed from the copied down halves: each u in row
+//    v's down half takes slot offsets[u + 1] - up[u]--, so up[] counts
+//    down and doubles as the claim cursor. The claims for destinations
+//    [first, last) scan rows ascending, so every up half fills in
+//    ascending order. When sharded, each lane owns whole destination
+//    ranges (and their up[] entries), so the claims need no atomics and
+//    the CSR needs no sort: it is bitwise identical at every lane count,
+//    the pool-less serial path running the same bodies.
 //
-// Degree counting (pass 1) splits the same way: down-degrees have a
-// single writer; up-degrees accumulate with relaxed atomic increments,
-// whose sum is order-free.
+// The staging lives inside the adjacency array itself, so it adds no
+// mapping of its own. Staging starts at entry `base`, a bound on m (its
+// mean + 10 sd + 64; exceeded with probability below 10^-21, and the
+// build then throws). Serial blocks stage back to back; sharded blocks
+// finish in any order, so block b gets a segment of its own bound.
+// The down-half copy is in place: offsets[x] = D(x) + U(x), where D and
+// U count the down- and up-entries of the rows below x, and U(x) <= m
+// <= base, so every row lands at or below its own staged run and above
+// every run already consumed. A forward copy, rows ascending, is
+// therefore safe; it is serial (a row's destination can overlap any
+// lower block's staged run), a sequential copy of m entries. The claims
+// start only after it, since up halves overlap staged runs too.
 //
-// The atomics are needed only when blocks are sharded. With no pool or
-// a 1-lane pool the blocks run in index order on the calling thread,
-// and both passes use plain increments instead: a relaxed RMW is still
+// The atomics are needed only for pass 1's up[] when blocks are sharded.
+// With no pool or a 1-lane pool the blocks run in index order on the
+// calling thread with plain increments: a relaxed RMW is still
 // `lock`-prefixed on x86, which serializes the scatter's cache misses.
-// The serial run claims each up half's slots in ascending neighbor
-// order, which is the sorted layout itself, so it also skips the sort
-// and its CSR is identical.
 //
-// Memory stays on the diet path: no edge list is staged, and the
-// transient arrays (two u32 degree halves + the u64 cursor) are freed
-// as soon as the offsets are fixed, so peak is CSR + ~16 bytes/vertex
-// over the final graph. With ShardedGnpOptions::first_touch the CSR
-// arrays are pre-touched in ThreadPool::parallel_for_range's chunk
-// layout so pages land near the lanes that later scan them.
+// Memory: the transients on top of the final CSR are the two u32 degree
+// halves and the staging's reach past the CSR's 2m entries: base - m
+// serially, more when sharded (the per-block bounds' slack). Those pages
+// are handed back after the fill; the adjacency keeps its capacity. At
+// n = 2^20, average degree 8, the mapped peak is CSR + 8.2 bytes/vertex
+// serially and CSR + 9.3 sharded. With ShardedGnpOptions::first_touch
+// the CSR arrays are pre-touched in ThreadPool::parallel_for_range's
+// chunk layout so pages land near the lanes that later scan them.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "graph/generators.h"
 #include "obs/obs.h"
@@ -120,21 +134,35 @@ std::uint64_t block_count(VertexId n) {
   return (std::uint64_t{n} + kBlockVertices - 1) / kBlockVertices;
 }
 
-/// Streams block b's G(n, p) pairs (u, v), u < v, to fn in row order
-/// and returns the block's stream for the caller to digest. Both passes
-/// replay the same stream, so pass 2 sees exactly pass 1's edges.
-template <typename Fn>
-Rng replay_block(VertexId n, double p, std::uint64_t seed, std::uint64_t b,
-                 Fn&& fn) {
-  // SLUMBER-STREAM-DISCIPLINE(block-counter): one stream per vertex
-  // block; the dense block id b is the stream key and blocks never
-  // share a row, so no tag mixing is needed (see README).
-  Rng rng = util::stream_rng(seed, b);
-  const VertexId lo = static_cast<VertexId>(b * kBlockVertices);
-  const VertexId hi = static_cast<VertexId>(
-      std::min<std::uint64_t>(n, (b + 1) * kBlockVertices));
-  for_each_gnp_edge_rows(lo, hi, p, rng, fn);
-  return rng;
+/// Block b's rows, [lo, hi).
+struct BlockRows {
+  VertexId lo;
+  VertexId hi;
+};
+
+BlockRows block_rows(VertexId n, std::uint64_t b) {
+  return {static_cast<VertexId>(b * kBlockVertices),
+          static_cast<VertexId>(
+              std::min<std::uint64_t>(n, (b + 1) * kBlockVertices))};
+}
+
+/// A bound on a Binomial(pairs, p) edge count: mean + 10 sd + 64,
+/// exceeded with probability below 10^-21 (Bernstein), and never more
+/// than `pairs`.
+std::uint64_t edge_bound(std::uint64_t pairs, double p) {
+  const double mean = p * static_cast<double>(pairs);
+  const double bound = std::ceil(mean + 10.0 * std::sqrt(mean) + 64.0);
+  return std::min(pairs, static_cast<std::uint64_t>(bound));
+}
+
+/// Staging slots reserved for block b when blocks are sharded: the
+/// bound on its edge count, whose pairs are the sum of its row indices.
+/// A pure function of (n, p, b).
+std::uint64_t block_capacity(VertexId n, double p, std::uint64_t b) {
+  const BlockRows rows = block_rows(n, b);
+  return edge_bound((std::uint64_t{rows.lo} + rows.hi - 1) *
+                        (rows.hi - rows.lo) / 2,
+                    p);
 }
 
 /// Runs fn(begin, end) over contiguous chunks of [0, total): the
@@ -171,45 +199,107 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
   obs::progress_phase("generate");
   obs::Span gen_span("gen", "gnp_sharded_csr", n);
 
-  // --- pass 1: degree halves ----------------------------------------
+  // --- staging layout -----------------------------------------------
+  // Staging starts at entry `base` >= m of the adjacency (see the
+  // header); block b stages at stage[stage_begin[b]...]. Serial blocks
+  // stage back to back, each after its predecessor's edges. Sharded
+  // blocks run in any order, so each gets a segment of its own bound.
+  const std::uint64_t base =
+      edge_bound(std::uint64_t{n} * (n - 1) / 2, p);
+  std::vector<std::uint64_t> stage_begin(blocks + 1, 0);
+  if (sharded) {
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      stage_begin[b + 1] = stage_begin[b] + block_capacity(n, p, b);
+    }
+  }
+  const std::uint64_t stage_size = sharded ? stage_begin[blocks] : base;
+  util::PodVector<VertexId> adjacency;
+  adjacency.resize(base + stage_size);
+  if (first_touch) {
+    // Deliberate page placement; staging and the fill overwrite it.
+    VertexId* adj = adjacency.data();
+    for_each_range(adjacency.size(), pool,
+                   [adj](std::uint64_t begin, std::uint64_t end) {
+                     for (std::uint64_t i = begin; i < end; ++i) adj[i] = 0;
+                   });
+  }
+  VertexId* const stage = adjacency.data() + base;
+
+  // --- pass 1: sample, count degree halves, stage down halves --------
   // down[x] = |{u < x adjacent to x}| (single writer: block(x));
   // up[u]   = |{v > u adjacent to u}| (relaxed atomic sum when sharded).
   util::PodVector<std::uint32_t> down =
       util::sharded_fill<std::uint32_t>(n, 0, first_touch ? pool : nullptr);
   util::PodVector<std::uint32_t> up =
       util::sharded_fill<std::uint32_t>(n, 0, first_touch ? pool : nullptr);
-  // Pass 1's block body; count_up(u) bumps up[u].
-  auto count_block = [&](std::uint64_t b, auto&& count_up) {
+  // Pass 1's block body, staging at most `capacity` entries; count_up(u)
+  // bumps up[u]. The only run of the block's stream. Returns the block's
+  // edge count and the stream's next draw after generation, a pure
+  // function of (seed, b) whose wrapping sum over blocks is order-free.
+  struct Sampled {
+    std::uint64_t edges;
+    std::uint64_t next_draw;
+  };
+  auto sample_block = [&](std::uint64_t b, std::uint64_t capacity,
+                          auto&& count_up) {
+    // SLUMBER-STREAM-DISCIPLINE(block-counter): one stream per vertex
+    // block; the dense block id b is the stream key and blocks never
+    // share a row, so no tag mixing is needed (see README).
+    Rng rng = util::stream_rng(seed, b);
+    const BlockRows rows = block_rows(n, b);
+    VertexId* const out = stage + stage_begin[b];
     std::uint64_t count = 0;
-    replay_block(n, p, seed, b, [&](VertexId u, VertexId v) {
-      ++down[v];  // v is a row of block b: block(v) is the single writer
-      count_up(u);
-      ++count;
-    });
-    return count;
+    for_each_gnp_edge_rows(rows.lo, rows.hi, p, rng,
+                           [&](VertexId u, VertexId v) {
+                             ++down[v];  // block(v) == b: single writer
+                             count_up(u);
+                             if (count < capacity) out[count] = u;
+                             ++count;
+                           });
+    return Sampled{count, rng.next()};
   };
   std::uint64_t m = 0;
+  std::uint64_t rng_digest = 0;
+  bool overflow = false;
   {
     obs::Span span("gen", "degree_pass", blocks);
     if (sharded) {
       std::atomic<std::uint64_t> edge_total{0};
+      std::atomic<std::uint64_t> digest{0};
+      std::atomic<bool> any_overflow{false};
       pool->parallel_for_index(blocks, [&](std::uint64_t b) {
-        const std::uint64_t count = count_block(b, [&up](VertexId u) {
+        const std::uint64_t capacity = stage_begin[b + 1] - stage_begin[b];
+        const Sampled s = sample_block(b, capacity, [&up](VertexId u) {
           std::atomic_ref<std::uint32_t>(up[u]).fetch_add(
               1, std::memory_order_relaxed);
         });
-        edge_total.fetch_add(count, std::memory_order_relaxed);
+        edge_total.fetch_add(s.edges, std::memory_order_relaxed);
+        digest.fetch_add(s.next_draw, std::memory_order_relaxed);
+        if (s.edges > capacity) {
+          any_overflow.store(true, std::memory_order_relaxed);
+        }
       });
       m = edge_total.load(std::memory_order_relaxed);
+      rng_digest = digest.load(std::memory_order_relaxed);
+      overflow = any_overflow.load(std::memory_order_relaxed);
     } else {
       for (std::uint64_t b = 0; b < blocks; ++b) {
-        m += count_block(b, [&up](VertexId u) { ++up[u]; });
+        const std::uint64_t capacity = base - stage_begin[b];
+        const Sampled s =
+            sample_block(b, capacity, [&up](VertexId u) { ++up[u]; });
+        m += s.edges;
+        rng_digest += s.next_draw;
+        stage_begin[b + 1] = stage_begin[b] + std::min(s.edges, capacity);
       }
     }
   }
+  if (overflow || m > base) {
+    throw std::runtime_error(
+        "gnp_sharded_csr: sampled more edges than the staging bound");
+  }
   checked_edge_count(m, "gnp_sharded_csr");
 
-  // --- offsets + up-half cursors ------------------------------------
+  // --- offsets --------------------------------------------------------
   util::PodVector<CsrOffset> offsets =
       util::sharded_fill<CsrOffset>(std::uint64_t{n} + 1, 0,
                                     first_touch ? pool : nullptr);
@@ -220,93 +310,59 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
           offsets[v] + down[v] + up[v];
     }
   }
-  // cursor[u] starts at the first slot of u's up half and is bumped once
-  // per up-half write in pass 2 (a relaxed fetch_add when sharded).
-  util::PodVector<CsrOffset> cursor;
-  cursor.resize(n);
-  {
-    obs::Span span("gen", "cursor_init", n);
-    CsrOffset* cur = cursor.data();
-    const CsrOffset* off = offsets.data();
-    const std::uint32_t* dn = down.data();
-    for_each_range(n, pool, [cur, off, dn](std::uint64_t begin,
-                                           std::uint64_t end) {
-      for (std::uint64_t v = begin; v < end; ++v) cur[v] = off[v] + dn[v];
-    });
-  }
-  // Folded into offsets/cursor; genuinely release (swap — `= {}` would
-  // retain capacity) before the adjacency allocation below.
-  util::PodVector<std::uint32_t>().swap(up);
 
-  // --- pass 2: fill -------------------------------------------------
-  util::PodVector<VertexId> adjacency;
-  adjacency.resize(offsets[n]);
-  if (first_touch) {
-    // Deliberate page placement; every slot is overwritten below.
-    VertexId* adj = adjacency.data();
-    for_each_range(offsets[n], pool,
-                   [adj](std::uint64_t begin, std::uint64_t end) {
-                     for (std::uint64_t i = begin; i < end; ++i) adj[i] = 0;
-                   });
-  }
-  // Pass 2's block body; claim_up(u) returns the next free slot of
-  // u's up half. Returns the stream's next draw after generation, a pure
-  // function of (seed, b) whose wrapping sum over blocks is order-free.
-  auto fill_block = [&](std::uint64_t b, auto&& claim_up) {
-    VertexId row = kInvalidVertex;
-    CsrOffset row_cursor = 0;
-    Rng rng = replay_block(n, p, seed, b, [&](VertexId u, VertexId v) {
-      if (v != row) {
-        row = v;
-        row_cursor = offsets[v];
-      }
-      // row_cursor walks offsets[v]..offsets[v]+down[v], a range owned
-      // by block b since block(v) == b.
-      adjacency[row_cursor++] = u;  // down half, ascending in row
-      adjacency[claim_up(u)] = v;   // up half, ascending after the sort
-    });
-    return rng.next();
-  };
-  std::uint64_t rng_digest = 0;
+  // --- pass 2: fill from the staged rows ------------------------------
   {
     obs::Span span("gen", "fill_pass", blocks);
-    if (sharded) {
-      std::atomic<std::uint64_t> digest{0};
-      pool->parallel_for_index(blocks, [&](std::uint64_t b) {
-        const std::uint64_t next = fill_block(b, [&cursor](VertexId u) {
-          return std::atomic_ref<CsrOffset>(cursor[u]).fetch_add(
-              1, std::memory_order_relaxed);
-        });
-        digest.fetch_add(next, std::memory_order_relaxed);
-      });
-      rng_digest = digest.load(std::memory_order_relaxed);
-    } else {
-      for (std::uint64_t b = 0; b < blocks; ++b) {
-        rng_digest += fill_block(b, [&cursor](VertexId u) {
-          return cursor[u]++;
-        });
+    VertexId* const adj = adjacency.data();
+    const CsrOffset* const off = offsets.data();
+    const std::uint32_t* const dn = down.data();
+    // Down halves: every row's staged run moves to offsets[v], rows
+    // ascending, each at or below its source (see the header).
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const BlockRows rows = block_rows(n, b);
+      const VertexId* src = stage + stage_begin[b];
+      for (VertexId v = rows.lo; v < rows.hi; ++v) {
+        VertexId* const dst = adj + off[v];
+        for (std::uint32_t i = 0; i < dn[v]; ++i) dst[i] = src[i];
+        src += dn[v];
       }
     }
-  }
-  util::PodVector<CsrOffset>().swap(cursor);
-
-  // --- canonicalize the up halves -----------------------------------
-  // Only sharded claims land out of order. The serial run visits blocks,
-  // and rows within a block, ascending, so its up halves are already
-  // sorted (from_csr rejects the CSR if they are not).
-  if (sharded) {
-    obs::Span span("gen", "sort_up_halves", n);
-    VertexId* adj = adjacency.data();
-    const CsrOffset* off = offsets.data();
-    const std::uint32_t* dn = down.data();
-    for_each_range(n, pool, [adj, off, dn](std::uint64_t begin,
-                                           std::uint64_t end) {
-      for (std::uint64_t v = begin; v < end; ++v) {
-        std::sort(adj + off[v] + dn[v], adj + off[v + 1]);
+    // Up halves, claimed from the moved down halves. The claims for
+    // destinations [first, last) scan the rows above `first`, ascending,
+    // and hand each u in range its next up-half slot: every up half
+    // fills in ascending order on every path, with plain decrements (one
+    // owner per up[u]) and no sort.
+    auto claim_range = [&](VertexId first, VertexId last) {
+      for (VertexId v = first + 1; v < n; ++v) {
+        CsrOffset i = off[v];
+        const CsrOffset row_end = i + dn[v];
+        while (i != row_end && adj[i] < first) ++i;
+        for (; i != row_end && adj[i] < last; ++i) {
+          const VertexId u = adj[i];
+          adj[off[std::uint64_t{u} + 1] - up[u]--] = v;
+        }
       }
-    });
+    };
+    if (sharded) {
+      // Up halves shrink with the vertex id, and so does the scan, so
+      // 2 ranges per lane claimed lowest-first pair heavy with light.
+      const std::uint64_t ranges =
+          std::min<std::uint64_t>(n, std::uint64_t{2} * pool->num_threads());
+      pool->parallel_for_index(ranges, [&](std::uint64_t r) {
+        claim_range(static_cast<VertexId>(r * n / ranges),
+                    static_cast<VertexId>((r + 1) * n / ranges));
+      });
+    } else {
+      claim_range(0, n);
+    }
   }
+  // Every up[u] has counted down to zero; genuinely release (swap —
+  // `= {}` would retain capacity).
+  util::PodVector<std::uint32_t>().swap(up);
   util::PodVector<std::uint32_t>().swap(down);
+  adjacency.resize(2 * m);
+  util::release_tail(adjacency);  // leftover staging past the CSR
 
   if (options.stats_out != nullptr) {
     options.stats_out->blocks = blocks;

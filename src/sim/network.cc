@@ -64,7 +64,8 @@ void Network::check_congest(const Message& m) {
   }
 }
 
-void Network::deliver_from(VertexId sender) {
+void Network::deliver_from(VertexId sender,
+                           const fault::FaultState::LinkView& links) {
   Context& ctx = *contexts_[sender];
   auto deliver = [&](std::uint32_t port, const Message& m) {
     check_congest(m);
@@ -74,8 +75,7 @@ void Network::deliver_from(VertexId sender) {
       // Loss only hits otherwise-deliverable messages, and the draw is
       // keyed by (undirected link, round) — the identical decision the
       // bulk engine computes for this edge in this round.
-      if (fault_.has_loss() &&
-          fault_.link_down(sender, receiver, current_round_, 0)) {
+      if (fault_.has_loss() && links.down(sender, receiver)) {
         ++metrics_.injected_losses;
         if (options_.trace != nullptr) {
           options_.trace->on_event({TraceEventKind::kDropFault, current_round_,
@@ -172,7 +172,8 @@ const Metrics& Network::run(const Protocol& protocol) {
     // Mark the awake set, then deliver, then resume: all sends in a round
     // complete before any node observes its inbox.
     for (VertexId v : awake) last_awake_[v] = current_round_;
-    for (VertexId v : awake) deliver_from(v);
+    const fault::FaultState::LinkView links = fault_.links(current_round_, 0);
+    for (VertexId v : awake) deliver_from(v, links);
     for (VertexId v : awake) {
       ++metrics_.node[v].awake_rounds;
       ++metrics_.total_awake_node_rounds;

@@ -101,7 +101,9 @@ class Network {
  private:
   friend class Context;
 
-  void deliver_from(VertexId sender);
+  /// Sends `sender`'s pending messages; `links` holds this round's
+  /// link draws (FaultState::links, taken once per round).
+  void deliver_from(VertexId sender, const fault::FaultState::LinkView& links);
   void check_congest(const Message& m);
 
   const Graph& graph_;

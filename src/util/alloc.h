@@ -45,7 +45,23 @@ namespace detail {
 /// Anonymous private mapping of `bytes`; throws std::bad_alloc.
 void* map_pages(std::size_t bytes);
 void unmap_pages(void* p, std::size_t bytes);
+/// Drops the physical pages wholly inside [p, p + bytes) of a live
+/// mapping; they read back as zeros if touched again. The mapping (and
+/// the mapped-byte count) is unchanged.
+void release_pages(void* p, std::size_t bytes);
 }  // namespace detail
+
+/// Bytes currently held by map_pages mappings, process-wide. Every
+/// PodVector block of kMappedArrayBytes or more is one of them, so this
+/// is the large-array footprint a build or run has mapped.
+std::size_t mapped_bytes();
+
+/// High-water mark of mapped_bytes() since the last
+/// reset_mapped_peak() (or process start).
+std::size_t mapped_peak_bytes();
+
+/// Restarts the high-water mark at the current mapped_bytes().
+void reset_mapped_peak();
 
 /// std::allocator whose argument-less construct() default-initializes
 /// instead of value-initializing: resize() on trivial element types
@@ -93,6 +109,16 @@ class DefaultInitAllocator : public std::allocator<T> {
 /// every slot is about to be written).
 template <typename T>
 using PodVector = std::vector<T, DefaultInitAllocator<T>>;
+
+/// Hands the pages of `v`'s storage past its size() back to the kernel,
+/// keeping capacity(): for an array whose tail was scratch space. A
+/// no-op for malloc-backed (small) blocks.
+template <typename T>
+void release_tail(PodVector<T>& v) {
+  if (v.capacity() * sizeof(T) < kMappedArrayBytes) return;
+  detail::release_pages(v.data() + v.size(),
+                        (v.capacity() - v.size()) * sizeof(T));
+}
 
 /// Returns a PodVector of `size` copies of `value`. With a pool, the
 /// fill shards into ThreadPool::parallel_for_range's contiguous chunks

@@ -59,5 +59,51 @@ TEST(PodVectorTest, ShardedFillAboveTheThreshold) {
   }
 }
 
+TEST(PodVectorTest, MappedBytesTrackLargeBlocks) {
+  const std::size_t before = util::mapped_bytes();
+  util::reset_mapped_peak();
+  {
+    util::PodVector<std::uint32_t> a;
+    a.resize(2 * kBig);
+    util::PodVector<std::uint32_t> small;
+    small.resize(16);  // malloc-backed: not counted
+    EXPECT_EQ(util::mapped_bytes(), before + 2 * util::kMappedArrayBytes);
+    {
+      util::PodVector<std::uint32_t> b;
+      b.resize(kBig);
+      EXPECT_EQ(util::mapped_bytes(), before + 3 * util::kMappedArrayBytes);
+    }
+    EXPECT_EQ(util::mapped_bytes(), before + 2 * util::kMappedArrayBytes);
+  }
+  EXPECT_EQ(util::mapped_bytes(), before);
+  EXPECT_EQ(util::mapped_peak_bytes(), before + 3 * util::kMappedArrayBytes);
+  util::reset_mapped_peak();
+  EXPECT_EQ(util::mapped_peak_bytes(), before);
+}
+
+TEST(PodVectorTest, ReleaseTailKeepsContentsAndCapacity) {
+  util::PodVector<std::uint32_t> v;
+  v.resize(4 * kBig);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<std::uint32_t>(i);
+  }
+  const std::size_t mapped = util::mapped_bytes();
+  v.resize(kBig + 5);
+  util::release_tail(v);
+  EXPECT_EQ(v.capacity(), 4 * kBig);
+  EXPECT_EQ(util::mapped_bytes(), mapped);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    ASSERT_EQ(v[i], static_cast<std::uint32_t>(i));
+  }
+  // Released pages read back as zeros once the size grows into them.
+  v.resize(4 * kBig);
+  EXPECT_EQ(v[4 * kBig - 1], 0u);
+  // Small, malloc-backed vectors are left alone.
+  util::PodVector<std::uint32_t> small(8, 3u);
+  small.resize(2);
+  util::release_tail(small);
+  EXPECT_EQ(small[1], 3u);
+}
+
 }  // namespace
 }  // namespace slumber

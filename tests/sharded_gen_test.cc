@@ -93,16 +93,22 @@ TEST(ShardedGen, RealizationPinnedOnEveryPath) {
   // The lane matrix above only compares paths with each other; these
   // pins catch a change that moves every path the same way. Recorded
   // from the generator with atomic slot claims on every path; the
-  // serial plain-increment path must reproduce them bit for bit.
+  // serial plain-increment path must reproduce them bit for bit. The
+  // rng_digest pins (each block stream's next draw after generation,
+  // summed) catch a build that runs a block's stream twice or stops it
+  // early. n = 2^18 spans 64 blocks.
   struct Pin {
     VertexId n;
     std::uint64_t seed;
     std::size_t edges;
     std::uint64_t digest;
+    std::uint64_t rng_digest;
   };
-  const Pin pins[] = {{97, 1, 389, 0x808bbd1694f60e8aULL},
-                      {5000, 7, 19827, 0x70081af682253a80ULL},
-                      {20000, 42, 80550, 0x7d4987ef5033b05bULL}};
+  const Pin pins[] = {
+      {97, 1, 389, 0x808bbd1694f60e8aULL, 0x83895fa2ee68b14fULL},
+      {5000, 7, 19827, 0x70081af682253a80ULL, 0xf3ceeab3224c807dULL},
+      {20000, 42, 80550, 0x7d4987ef5033b05bULL, 0x0dbd6e23092b3eccULL},
+      {1u << 18, 3, 1050603, 0xe073aad85d4090bcULL, 0xb5f4f902f51adccbULL}};
   util::ThreadPool one_lane(1);
   util::ThreadPool four_lanes(4);
   for (const Pin& pin : pins) {
@@ -111,13 +117,46 @@ TEST(ShardedGen, RealizationPinnedOnEveryPath) {
       SCOPED_TRACE(testing::Message()
                    << "n=" << pin.n << " seed=" << pin.seed << " lanes="
                    << (pool == nullptr ? 0 : pool->num_threads()));
+      gen::ShardedGnpStats stats;
       gen::ShardedGnpOptions options;
       options.pool = pool;
+      options.stats_out = &stats;
       const Graph g =
           gen::gnp_avg_degree_sharded_csr(pin.n, 8.0, pin.seed, options);
       EXPECT_EQ(g.num_edges(), pin.edges);
       EXPECT_EQ(CsrDigest(g), pin.digest);
+      EXPECT_EQ(stats.rng_digest, pin.rng_digest);
     }
+  }
+}
+
+TEST(ShardedGen, BuildTransientWithinBudget) {
+  // The build's large arrays are all page mappings (util::PodVector),
+  // so util::mapped_peak_bytes() bounds its footprint. The two-pass
+  // build that sampled every edge twice peaked at exactly the final CSR
+  // + 12 B/node (its u64 cursor and u32 down-degrees) on both paths:
+  // 54,526,320 bytes for this graph. Staging the sampled edges must not
+  // raise that, and the build must leave only the graph mapped.
+  constexpr VertexId kN = 1u << 20;
+  constexpr std::size_t kTwoPassPeak = 54526320;
+  util::ThreadPool four_lanes(4);
+  for (util::ThreadPool* pool :
+       {static_cast<util::ThreadPool*>(nullptr), &four_lanes}) {
+    SCOPED_TRACE(pool == nullptr ? "pool-less" : "4 lanes");
+    const std::size_t before = util::mapped_bytes();
+    util::reset_mapped_peak();
+    {
+      gen::ShardedGnpOptions options;
+      options.pool = pool;
+      const Graph g = gen::gnp_avg_degree_sharded_csr(kN, 8.0, 1, options);
+      const std::size_t peak = util::mapped_peak_bytes() - before;
+      const std::size_t csr_bytes =
+          sizeof(CsrOffset) * (std::size_t{kN} + 1) +
+          2 * sizeof(VertexId) * g.num_edges();
+      EXPECT_LE(peak, csr_bytes + 12 * std::size_t{kN});
+      EXPECT_LE(peak, kTwoPassPeak);
+    }
+    EXPECT_EQ(util::mapped_bytes(), before);
   }
 }
 

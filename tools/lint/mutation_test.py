@@ -58,11 +58,10 @@ PLANTS = [
         "slumber-d5",
     ),
     (
-        "d5-gnp-sharded-plain-slot-claim",
+        "d5-gnp-sharded-plain-digest-sum",
         "src/graph/sharded_gnp.cc",
-        "return std::atomic_ref<CsrOffset>(cursor[u]).fetch_add(\n"
-        "              1, std::memory_order_relaxed);",
-        "return cursor[u]++;",
+        "digest.fetch_add(s.next_draw, std::memory_order_relaxed);",
+        "rng_digest += s.next_draw;",
         "slumber-d5",
     ),
     (
