@@ -532,7 +532,9 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
                             (awake_w && !delivered) ? 1 : 0);
           partner[u] = static_cast<std::int64_t>(w);
           if (delivered) {
+            // NOLINTNEXTLINE(slumber-d5): w proposed to u alone; one writer
             ++recv[w];
+            // NOLINTNEXTLINE(slumber-d5): w proposed to u alone; one writer
             partner[w] = static_cast<std::int64_t>(u);
           }
           break;

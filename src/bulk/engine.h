@@ -19,13 +19,18 @@
 // Intra-trial parallelism: per-frame node scans are independent per
 // node, so when BulkOptions::pool is set, scan_awake() shards the awake
 // set into contiguous chunks over the pool's lanes. Per-node state and
-// metrics are written only by the lane owning the node (or through
-// relaxed atomics where a protocol's accounting crosses nodes), and all
-// aggregate accounting accumulates into per-chunk BulkChunk partials
-// that are merged in chunk index order after the barrier. Every merged
-// quantity is an integer sum or max — order-free — so outputs, metrics,
-// and traces are bitwise identical for every thread count, including
-// the serial pool-less path (tests/bulk_parallel_test.cc pins this).
+// metrics are written only by the lane owning the node, except where a
+// protocol's work crosses nodes: then the writes are relaxed atomic
+// ORs and adds (lossy SleepingMIS draws each awake link once, from its
+// lower endpoint, and ORs a heard bit into both endpoints' status
+// bytes and adds one received message to each; a later scan, past the
+// barrier, reads the bits). All aggregate accounting accumulates into
+// per-chunk BulkChunk partials that are merged in chunk index order
+// after the barrier. Every merged or cross-written quantity is an
+// integer OR, sum or max — order-free — so outputs, metrics, and traces
+// are bitwise identical for every thread count, including the serial
+// pool-less path (tests/bulk_parallel_test.cc and the fault lane
+// matrices pin this).
 //
 // Virtual rounds are tracked in 128 bits: Algorithm 1's schedule spans
 // T(K) = 3(2^K - 1) rounds with K = ceil(3 log2 n), which overflows 64
@@ -35,6 +40,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -170,6 +176,32 @@ class BulkChunk {
                                   std::uint64_t delivered,
                                   std::uint32_t bits);
 
+  /// Edge-centric form of the lossy symmetric broadcast, for rounds
+  /// that draw each awake link once from its lower endpoint (the chunk
+  /// owning that endpoint). This chunk's members, of total degree
+  /// `degree_sum`, each sent a `bits`-wide message on every port; of
+  /// the links whose lower endpoint the chunk owns, `awake_pairs`
+  /// joined two awake nodes and `heard_pairs` survived the link draw.
+  /// Every awake pair carries one message each way, so the merged
+  /// totals equal the per-node charge_symmetric_broadcast's. A chunk's
+  /// dropped partial may wrap below zero (its pairs' upper endpoints
+  /// can belong to other chunks); only the merged sum is meaningful.
+  /// The per-node halves are charge_broadcast_sent and
+  /// charge_heard_pair.
+  void charge_pair_broadcast(std::uint64_t degree_sum,
+                             std::uint64_t awake_pairs,
+                             std::uint64_t heard_pairs, std::uint32_t bits);
+
+  /// Per-node sender half of charge_pair_broadcast: v sent deg(v)
+  /// messages. Written by v's owner only.
+  void charge_broadcast_sent(VertexId v);
+
+  /// Per-node receiver half of charge_pair_broadcast: the pair {a, b}
+  /// was heard, so each endpoint received one message. Chunks owning
+  /// neither endpoint may add to the same counters, so the adds are
+  /// relaxed atomics (order-free sums).
+  void charge_heard_pair(VertexId a, VertexId b);
+
   /// Records v's output and decision instant. Idempotent like
   /// Context::decide: only the first call sticks.
   void decide(VertexId v, std::int64_t output, VirtualRound round);
@@ -197,6 +229,10 @@ class BulkChunk {
  private:
   friend class BulkEngine;
   explicit BulkChunk(BulkEngine* eng) : eng_(eng) {}
+
+  // The width half of every send charge: the CONGEST check and the
+  // widest message seen, for `attempted` > 0 sends of `bits` bits.
+  void charge_width(std::uint64_t attempted, std::uint32_t bits);
 
   BulkEngine* eng_;
   std::vector<VertexId> kept_;
@@ -250,7 +286,8 @@ class BulkEngine {
       const std::function<void(BulkChunk&, std::span<const VertexId>)>& fn);
 
   /// Range analogue of scan_awake for index loops that are not over an
-  /// awake vector (e.g. drawing per-node coins for all v in [0, n)).
+  /// awake vector (e.g. stamping every node's finish round over
+  /// [0, n)).
   ScanResult scan_range(
       std::size_t total,
       const std::function<void(BulkChunk&, std::size_t begin,
@@ -284,9 +321,10 @@ class BulkEngine {
   }
 
   /// The link draws of `round` (fault::FaultState::LinkView): take it
-  /// once before a scan, then ask down(a, b) per neighbor. Symmetric
-  /// keyed draws: both directions, every lane, and the coroutine
-  /// scheduler compute the identical bit. Never down without a loss
+  /// once before a scan, then ask down(a, b) per link. Symmetric keyed
+  /// draws: both directions, every lane, and the coroutine scheduler
+  /// compute the identical bit, so a scan may draw each link once and
+  /// share the result with both endpoints. Never down without a loss
   /// plan.
   fault::FaultState::LinkView links(VirtualRound round) const {
     const RoundHalves halves = round_halves(round);
@@ -428,6 +466,11 @@ inline void BulkChunk::charge_send(VertexId v, std::uint64_t attempted,
   total_messages_ += delivered;
   dropped_messages_ += attempted - delivered - lost;
   injected_losses_ += lost;
+  charge_width(attempted, bits);
+}
+
+inline void BulkChunk::charge_width(std::uint64_t attempted,
+                                    std::uint32_t bits) {
   max_message_bits_seen_ = std::max(max_message_bits_seen_, bits);
   if (eng_->options_.max_message_bits != 0 &&
       bits > eng_->options_.max_message_bits) {
@@ -462,6 +505,34 @@ inline void BulkChunk::charge_symmetric_broadcast(VertexId v,
   charge_send(v, eng_->graph_.degree(v), delivered, bits,
               awake_neighbors - delivered);
   charge_received(v, delivered);
+}
+
+inline void BulkChunk::charge_pair_broadcast(std::uint64_t degree_sum,
+                                             std::uint64_t awake_pairs,
+                                             std::uint64_t heard_pairs,
+                                             std::uint32_t bits) {
+  // Mirrors charge_send's attempted == 0 early return: a chunk of
+  // isolated members sends nothing, so it leaves the width stats alone.
+  if (degree_sum == 0) return;
+  total_messages_ += 2 * heard_pairs;
+  dropped_messages_ += degree_sum - 2 * awake_pairs;
+  injected_losses_ += 2 * (awake_pairs - heard_pairs);
+  charge_width(degree_sum, bits);
+}
+
+inline void BulkChunk::charge_broadcast_sent(VertexId v) {
+  if (eng_->options_.node_metrics) {
+    eng_->metrics_.node[v].messages_sent += eng_->graph_.degree(v);
+  }
+}
+
+inline void BulkChunk::charge_heard_pair(VertexId a, VertexId b) {
+  if (eng_->options_.node_metrics) {
+    std::atomic_ref(eng_->metrics_.node[a].messages_received)
+        .fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(eng_->metrics_.node[b].messages_received)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 inline void BulkChunk::decide(VertexId v, std::int64_t output,

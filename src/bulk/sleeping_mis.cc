@@ -35,7 +35,25 @@ VirtualRound duration128(std::uint32_t k) {
 // against Unknown -> True, so — exactly the argument that lets the
 // serial code scan in place — the concurrent value is deterministic
 // regardless of lane interleaving.
+//
+// Under message loss a round is two scans instead (lossy_round): pass
+// 1 draws each awake link once, from its lower endpoint, and ORs a
+// kHeard bit into the status byte of each endpoint that heard a
+// relevant neighbor; pass 2 reads and clears every member's bit and
+// applies the round's transitions. Pass 1 changes no status, so by the
+// same argument its snapshot reads see the in-place scan's predicates.
 struct Walker {
+  // Spare bit of a status byte (MisValue uses 0-2): set in pass 1 of a
+  // lossy round, cleared in its pass 2, so it is zero between rounds.
+  static constexpr std::uint8_t kHeard = 0x80;
+  // Speaker masks for lossy_round: bit s set means a heard neighbor of
+  // status s counts.
+  static constexpr unsigned kAnyStatus = 0b111;
+  static constexpr unsigned kTrueStatus =
+      1u << static_cast<unsigned>(MisValue::kTrue);
+  static constexpr unsigned kUndecidedOrTrue =
+      kTrueStatus | 1u << static_cast<unsigned>(MisValue::kUnknown);
+
   BulkEngine& eng;
   const Graph& g;
   core::RecursionTrace* trace;
@@ -55,12 +73,80 @@ struct Walker {
 
   MisValue value_of(VertexId v) {
     return static_cast<MisValue>(
-        std::atomic_ref(value[v]).load(std::memory_order_relaxed));
+        std::atomic_ref(value[v]).load(std::memory_order_relaxed) & ~kHeard);
   }
 
   void set_value(VertexId v, MisValue x) {
     std::atomic_ref(value[v]).store(static_cast<std::uint8_t>(x),
                                     std::memory_order_relaxed);
+  }
+
+  /// Whether v's status is in the speaker mask `speakers`.
+  bool speaks(unsigned speakers, VertexId v) {
+    return ((speakers >> static_cast<unsigned>(value_of(v))) & 1) != 0;
+  }
+
+  /// Pass 2's read-and-clear of v's kHeard bit. Only v's owner calls
+  /// it, after pass 1's barrier.
+  bool take_heard(VertexId v) {
+    std::atomic_ref byte(value[v]);
+    const std::uint8_t bits = byte.load(std::memory_order_relaxed);
+    if ((bits & kHeard) == 0) return false;
+    byte.store(static_cast<std::uint8_t>(bits & ~kHeard),
+               std::memory_order_relaxed);
+    return true;
+  }
+
+  /// One lossy broadcast round over the marked awake set `members`:
+  /// every member sends `bits`-wide on all ports, and settle(chunk, v,
+  /// heard) runs for each member, where `heard` says whether v heard a
+  /// neighbor whose status is in `speakers`. Returns pass 2's scan.
+  template <typename Settle>
+  ScanResult lossy_round(const std::vector<VertexId>& members,
+                         const fault::FaultState::LinkView& links,
+                         unsigned speakers, std::uint32_t bits,
+                         const Settle& settle) {
+    // Pass 1: each awake pair {v, u}, v < u, is drawn once, by the chunk
+    // owning v. Other chunks OR into the same status bytes, so every
+    // write is a relaxed atomic; a load first skips the read-modify-
+    // write once the bit is set. ORs and sums are order-free, so the
+    // result is bitwise independent of the lane count.
+    eng.scan_awake(members, [&](BulkChunk& chunk,
+                                std::span<const VertexId> part) {
+      std::uint64_t degree_sum = 0;
+      std::uint64_t awake_pairs = 0;
+      std::uint64_t heard_pairs = 0;
+      for (const VertexId v : part) {
+        const std::span<const VertexId> nbrs = g.neighbors(v);
+        degree_sum += nbrs.size();
+        chunk.charge_broadcast_sent(v);
+        const bool v_speaks = speaks(speakers, v);
+        bool v_heard = false;
+        for (const VertexId u : nbrs) {
+          if (u < v || !eng.is_awake(u)) continue;
+          ++awake_pairs;
+          if (links.down(v, u)) continue;
+          ++heard_pairs;
+          chunk.charge_heard_pair(v, u);
+          v_heard |= speaks(speakers, u);
+          std::atomic_ref u_byte(value[u]);
+          if (v_speaks &&
+              (u_byte.load(std::memory_order_relaxed) & kHeard) == 0) {
+            u_byte.fetch_or(kHeard, std::memory_order_relaxed);
+          }
+        }
+        std::atomic_ref v_byte(value[v]);
+        if (v_heard && (v_byte.load(std::memory_order_relaxed) & kHeard) == 0) {
+          v_byte.fetch_or(kHeard, std::memory_order_relaxed);
+        }
+      }
+      chunk.charge_pair_broadcast(degree_sum, awake_pairs, heard_pairs, bits);
+    });
+    // Pass 2, after pass 1's barrier: owner-only reads and transitions.
+    return eng.scan_awake(members, [&](BulkChunk& chunk,
+                                       std::span<const VertexId> part) {
+      for (const VertexId v : part) settle(chunk, v, take_heard(v));
+    });
   }
 
   /// Lines 9-12 of the paper: the k = 0 base case. It spends no rounds;
@@ -105,26 +191,29 @@ struct Walker {
     if (dynamic) members = eng.apply_dynamics(std::move(members), start, reenter);
     eng.mark_awake(members);
     eng.charge_round(members, start);
-    const auto detect1_links = eng.links(start);
-    const ScanResult detect1 = eng.scan_awake(
-        members, [&](BulkChunk& chunk, std::span<const VertexId> part) {
-          for (const VertexId v : part) {
-            std::uint64_t awake_nbrs = 0;
-            std::uint64_t heard = 0;
-            for (const VertexId u : g.neighbors(v)) {
-              if (!eng.is_awake(u)) continue;
-              ++awake_nbrs;
-              if (!lossy || !detect1_links.down(v, u)) ++heard;
-            }
-            chunk.charge_symmetric_broadcast(v, awake_nbrs, heard,
-                                             hello_bits);
-            if (heard == 0 && value_of(v) == MisValue::kUnknown) {
-              set_value(v, MisValue::kTrue);
-              chunk.decide(v, 1, start);
-              chunk.bump();
-            }
-          }
-        });
+    const auto join_if_isolated = [&](BulkChunk& chunk, VertexId v,
+                                      bool heard) {
+      if (!heard && value_of(v) == MisValue::kUnknown) {
+        set_value(v, MisValue::kTrue);
+        chunk.decide(v, 1, start);
+        chunk.bump();
+      }
+    };
+    const ScanResult detect1 =
+        lossy ? lossy_round(members, eng.links(start), kAnyStatus, hello_bits,
+                            join_if_isolated)
+              : eng.scan_awake(members, [&](BulkChunk& chunk,
+                                            std::span<const VertexId> part) {
+                  for (const VertexId v : part) {
+                    std::uint64_t awake_nbrs = 0;
+                    for (const VertexId u : g.neighbors(v)) {
+                      if (eng.is_awake(u)) ++awake_nbrs;
+                    }
+                    chunk.charge_symmetric_broadcast(v, awake_nbrs,
+                                                     hello_bits);
+                    join_if_isolated(chunk, v, awake_nbrs > 0);
+                  }
+                });
     if (stats != nullptr) stats->isolated_joins += detect1.user;
 
     // Left recursion (lines 17-21): undecided members with X_k = 1,
@@ -161,27 +250,32 @@ struct Walker {
     if (dynamic) members = eng.apply_dynamics(std::move(members), sync, reenter);
     eng.mark_awake(members);  // children bumped the epoch during the left call
     eng.charge_round(members, sync);
-    const auto sync_links = eng.links(sync);
-    eng.scan_awake(members, [&](BulkChunk& chunk,
-                                std::span<const VertexId> part) {
-      for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t heard = 0;
-        bool mis_neighbor = false;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          if (lossy && sync_links.down(v, u)) continue;
-          ++heard;
-          mis_neighbor |= value_of(u) == MisValue::kTrue;
-        }
-        chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, status_bits);
-        if (mis_neighbor && value_of(v) == MisValue::kUnknown) {
-          set_value(v, MisValue::kFalse);
-          chunk.decide(v, 0, sync);
-        }
+    const auto eliminate_if_mis_neighbor = [&](BulkChunk& chunk, VertexId v,
+                                               bool mis_neighbor) {
+      if (mis_neighbor && value_of(v) == MisValue::kUnknown) {
+        set_value(v, MisValue::kFalse);
+        chunk.decide(v, 0, sync);
       }
-    });
+    };
+    if (lossy) {
+      lossy_round(members, eng.links(sync), kTrueStatus, status_bits,
+                  eliminate_if_mis_neighbor);
+    } else {
+      eng.scan_awake(members, [&](BulkChunk& chunk,
+                                  std::span<const VertexId> part) {
+        for (const VertexId v : part) {
+          std::uint64_t awake_nbrs = 0;
+          bool mis_neighbor = false;
+          for (const VertexId u : g.neighbors(v)) {
+            if (!eng.is_awake(u)) continue;
+            ++awake_nbrs;
+            mis_neighbor |= value_of(u) == MisValue::kTrue;
+          }
+          chunk.charge_symmetric_broadcast(v, awake_nbrs, status_bits);
+          eliminate_if_mis_neighbor(chunk, v, mis_neighbor);
+        }
+      });
+    }
 
     // Second isolated-node detection (lines 26-29), 1 round: an
     // undecided node all of whose frame neighbors are eliminated joins.
@@ -193,29 +287,34 @@ struct Walker {
       eng.mark_awake(members);  // membership changed; sync's marking is stale
     }
     eng.charge_round(members, detect2);
-    const auto detect2_links = eng.links(detect2);
-    eng.scan_awake(members, [&](BulkChunk& chunk,
-                                std::span<const VertexId> part) {
-      for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t heard = 0;
-        bool all_eliminated = true;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          // A neighbor whose status message is lost simply isn't heard;
-          // it cannot block the join (that is the injected damage).
-          if (lossy && detect2_links.down(v, u)) continue;
-          ++heard;
-          all_eliminated &= value_of(u) == MisValue::kFalse;
-        }
-        chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, status_bits);
-        if (all_eliminated && value_of(v) == MisValue::kUnknown) {
-          set_value(v, MisValue::kTrue);
-          chunk.decide(v, 1, detect2);
-        }
+    // A neighbor whose status message is lost simply isn't heard; it
+    // cannot block the join (that is the injected damage).
+    const auto join_if_all_eliminated = [&](BulkChunk& chunk, VertexId v,
+                                            bool blocked) {
+      if (!blocked && value_of(v) == MisValue::kUnknown) {
+        set_value(v, MisValue::kTrue);
+        chunk.decide(v, 1, detect2);
       }
-    });
+    };
+    if (lossy) {
+      lossy_round(members, eng.links(detect2), kUndecidedOrTrue, status_bits,
+                  join_if_all_eliminated);
+    } else {
+      eng.scan_awake(members, [&](BulkChunk& chunk,
+                                  std::span<const VertexId> part) {
+        for (const VertexId v : part) {
+          std::uint64_t awake_nbrs = 0;
+          bool all_eliminated = true;
+          for (const VertexId u : g.neighbors(v)) {
+            if (!eng.is_awake(u)) continue;
+            ++awake_nbrs;
+            all_eliminated &= value_of(u) == MisValue::kFalse;
+          }
+          chunk.charge_symmetric_broadcast(v, awake_nbrs, status_bits);
+          join_if_all_eliminated(chunk, v, !all_eliminated);
+        }
+      });
+    }
 
     // Right recursion (lines 30-34): still-undecided members.
     std::vector<VertexId> right =

@@ -306,9 +306,13 @@ class FaultState::LinkView {
  public:
   /// Is the undirected link {a, b} down in this round? Symmetric: the
   /// pair is canonicalized, so both directions (and both engines, and
-  /// every lane) share one draw. A link is down when its burst channel
-  /// is in the bad state OR the independent memoryless loss draw fires
-  /// — the two mechanisms compose. Always false without a loss plan.
+  /// every lane) share one draw. That is what lets a caller evaluate
+  /// it once per link and round and apply the bit to both endpoints:
+  /// the bulk SleepingMIS's lossy rounds ask from the lower endpoint
+  /// only, the coroutine scheduler from each sender. A link is down
+  /// when its burst channel is in the bad state OR the independent
+  /// memoryless loss draw fires — the two mechanisms compose. Always
+  /// false without a loss plan.
   bool down(VertexId a, VertexId b) const {
     const std::uint64_t edge = edge_id(a, b);
     if (burst_ && burst_state(edge)) return true;

@@ -24,11 +24,15 @@
 #include "analysis/experiment.h"
 #include "bulk/baselines.h"
 #include "bulk/engine.h"
+#include "bulk/sleeping_mis.h"
 #include "chi_square_test_util.h"
+#include "core/sleeping_mis.h"
 #include "fault/churn.h"
 #include "fault/fault.h"
 #include "graph/generators.h"
+#include "lane_matrix_test_util.h"
 #include "metrics_test_util.h"
+#include "sim/network.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -251,10 +255,11 @@ std::vector<NamedPlan> fault_plans() {
 }
 
 // Every bulk protocol (the four MIS engines plus Israeli–Itai and the
-// beeping variant) under every plan: lane counts 2, 3, and 8 must
-// reproduce the serial run bit for bit, even with one-node chunks.
+// beeping variant) under every plan, on both lane-matrix graphs, with
+// per-node metrics on and off (the memory-diet mode charges aggregates
+// only): lane counts 2, 3, and 8 must reproduce the serial run bit for
+// bit, even with one-node chunks.
 TEST(FaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
-  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 19);
   struct Entry {
     std::string name;
     std::unique_ptr<bulk::BulkProtocol> protocol;
@@ -270,26 +275,39 @@ TEST(FaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
                        std::make_unique<bulk::BulkIsraeliItai>()});
   protocols.push_back({"beeping", std::make_unique<bulk::BulkBeepingMis>()});
 
-  for (const NamedPlan& np : fault_plans()) {
-    for (const Entry& entry : protocols) {
-      bulk::BulkOptions base;
-      base.max_message_bits = 0;
-      base.parallel_cutoff = 1;  // shard even one-node frames
-      base.fault = &np.plan;
-      const bulk::BulkResult serial =
-          bulk::run_bulk(g, 77, *entry.protocol, base);
-      for (const unsigned lanes : {2u, 3u, 8u}) {
-        util::ThreadPool pool(lanes);
-        bulk::BulkOptions options = base;
-        options.pool = &pool;
-        const bulk::BulkResult run =
-            bulk::run_bulk(g, 77, *entry.protocol, options);
-        SCOPED_TRACE(entry.name + " / " + np.name + " / lanes " +
-                     std::to_string(lanes));
-        EXPECT_EQ(serial.outputs, run.outputs);
-        EXPECT_EQ(serial.crashed, run.crashed);
-        EXPECT_TRUE(serial.virtual_makespan == run.virtual_makespan);
-        ExpectMetricsEqual(serial.metrics, run.metrics);
+  const std::vector<LaneMatrixGraph> graphs = lane_matrix_graphs();
+  const Graph& sparse = graphs.back().graph;
+  std::uint64_t isolated = 0;
+  for (VertexId v = 0; v < sparse.num_vertices(); ++v) {
+    isolated += sparse.degree(v) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(isolated, 0u);
+  for (const LaneMatrixGraph& lg : graphs) {
+    for (const bool node_metrics : {true, false}) {
+      for (const NamedPlan& np : fault_plans()) {
+        for (const Entry& entry : protocols) {
+          bulk::BulkOptions base;
+          base.max_message_bits = 0;
+          base.parallel_cutoff = 1;  // shard even one-node frames
+          base.node_metrics = node_metrics;
+          base.fault = &np.plan;
+          const bulk::BulkResult serial =
+              bulk::run_bulk(lg.graph, 77, *entry.protocol, base);
+          for (const unsigned lanes : {2u, 3u, 8u}) {
+            util::ThreadPool pool(lanes);
+            bulk::BulkOptions options = base;
+            options.pool = &pool;
+            const bulk::BulkResult run =
+                bulk::run_bulk(lg.graph, 77, *entry.protocol, options);
+            SCOPED_TRACE(entry.name + " / " + np.name + " / " + lg.name +
+                         " / node_metrics " + std::to_string(node_metrics) +
+                         " / lanes " + std::to_string(lanes));
+            EXPECT_EQ(serial.outputs, run.outputs);
+            EXPECT_EQ(serial.crashed, run.crashed);
+            EXPECT_TRUE(serial.virtual_makespan == run.virtual_makespan);
+            ExpectMetricsEqual(serial.metrics, run.metrics);
+          }
+        }
       }
     }
   }
@@ -314,6 +332,56 @@ TEST(CrossEngineFault, EnginesAgreeBitwiseUnderSharedPlans) {
       EXPECT_EQ(coro.alive, bulk_run.alive);
       EXPECT_EQ(coro.valid, bulk_run.valid);
       ExpectMetricsEqual(coro.metrics, bulk_run.metrics);
+    }
+  }
+}
+
+// The CONGEST accounting under loss: a 1-bit budget that every message
+// exceeds, counted rather than thrown. Lossy SleepingMIS charges its
+// sends per chunk of awake pairs, so the violation count and the widest
+// message seen must still match the coroutine engine's per-message
+// charges and be the same at every lane count, on a graph with
+// isolated members (which send nothing) as well as a denser one.
+TEST(CrossEngineFault, CongestCountsAgreeUnderLossAcrossLanes) {
+  fault::FaultPlan plan;
+  plan.loss_prob = 0.05;
+  plan.burst = {.p_on = 0.05, .p_off = 0.25, .epoch_len = 4};
+  for (const LaneMatrixGraph& lg : lane_matrix_graphs()) {
+    SCOPED_TRACE(lg.name);
+    sim::NetworkOptions net;
+    net.max_message_bits = 1;
+    net.throw_on_congest_violation = false;
+    net.fault = &plan;
+    const auto coro = sim::run_protocol(lg.graph, 101, core::sleeping_mis(),
+                                        net);
+    EXPECT_GT(coro.metrics.congest_violations, 0u);
+    EXPECT_GT(coro.metrics.injected_losses, 0u);
+    bulk::BulkOptions base;
+    base.max_message_bits = 1;
+    base.throw_on_congest_violation = false;
+    base.parallel_cutoff = 1;  // shard even one-node frames
+    base.fault = &plan;
+    const auto serial =
+        bulk::bulk_sleeping_mis(lg.graph, 101, {}, nullptr, base);
+    EXPECT_EQ(coro.outputs, serial.outputs);
+    EXPECT_EQ(coro.metrics.congest_violations,
+              serial.metrics.congest_violations);
+    EXPECT_EQ(coro.metrics.max_message_bits_seen,
+              serial.metrics.max_message_bits_seen);
+    ExpectMetricsEqual(coro.metrics, serial.metrics);
+    for (const unsigned lanes : {2u, 3u, 8u}) {
+      SCOPED_TRACE(lanes);
+      util::ThreadPool pool(lanes);
+      bulk::BulkOptions options = base;
+      options.pool = &pool;
+      const auto run =
+          bulk::bulk_sleeping_mis(lg.graph, 101, {}, nullptr, options);
+      EXPECT_EQ(serial.outputs, run.outputs);
+      EXPECT_EQ(serial.metrics.congest_violations,
+                run.metrics.congest_violations);
+      EXPECT_EQ(serial.metrics.max_message_bits_seen,
+                run.metrics.max_message_bits_seen);
+      ExpectMetricsEqual(serial.metrics, run.metrics);
     }
   }
 }

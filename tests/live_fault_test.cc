@@ -31,6 +31,7 @@
 #include "fault/churn.h"
 #include "fault/fault.h"
 #include "graph/generators.h"
+#include "lane_matrix_test_util.h"
 #include "metrics_test_util.h"
 #include "util/thread_pool.h"
 
@@ -174,7 +175,6 @@ std::vector<NamedPlan> live_plans() {
 // the three combined: lane counts 2, 3, and 8 must reproduce the serial
 // run bit for bit, even with one-node chunks.
 TEST(LiveFaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
-  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 19);
   struct Entry {
     std::string name;
     std::unique_ptr<bulk::BulkProtocol> protocol;
@@ -190,27 +190,33 @@ TEST(LiveFaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
                        std::make_unique<bulk::BulkIsraeliItai>()});
   protocols.push_back({"beeping", std::make_unique<bulk::BulkBeepingMis>()});
 
-  for (const NamedPlan& np : live_plans()) {
-    for (const Entry& entry : protocols) {
-      bulk::BulkOptions base;
-      base.max_message_bits = 0;
-      base.parallel_cutoff = 1;  // shard even one-node frames
-      base.fault = &np.plan;
-      const bulk::BulkResult serial =
-          bulk::run_bulk(g, 77, *entry.protocol, base);
-      for (const unsigned lanes : {2u, 3u, 8u}) {
-        util::ThreadPool pool(lanes);
-        bulk::BulkOptions options = base;
-        options.pool = &pool;
-        const bulk::BulkResult run =
-            bulk::run_bulk(g, 77, *entry.protocol, options);
-        SCOPED_TRACE(entry.name + " / " + np.name + " / lanes " +
-                     std::to_string(lanes));
-        EXPECT_EQ(serial.outputs, run.outputs);
-        EXPECT_EQ(serial.crashed, run.crashed);
-        EXPECT_EQ(serial.departed, run.departed);
-        EXPECT_TRUE(serial.virtual_makespan == run.virtual_makespan);
-        ExpectMetricsEqual(serial.metrics, run.metrics);
+  for (const LaneMatrixGraph& lg : lane_matrix_graphs()) {
+    for (const bool node_metrics : {true, false}) {
+      for (const NamedPlan& np : live_plans()) {
+        for (const Entry& entry : protocols) {
+          bulk::BulkOptions base;
+          base.max_message_bits = 0;
+          base.parallel_cutoff = 1;  // shard even one-node frames
+          base.node_metrics = node_metrics;
+          base.fault = &np.plan;
+          const bulk::BulkResult serial =
+              bulk::run_bulk(lg.graph, 77, *entry.protocol, base);
+          for (const unsigned lanes : {2u, 3u, 8u}) {
+            util::ThreadPool pool(lanes);
+            bulk::BulkOptions options = base;
+            options.pool = &pool;
+            const bulk::BulkResult run =
+                bulk::run_bulk(lg.graph, 77, *entry.protocol, options);
+            SCOPED_TRACE(entry.name + " / " + np.name + " / " + lg.name +
+                         " / node_metrics " + std::to_string(node_metrics) +
+                         " / lanes " + std::to_string(lanes));
+            EXPECT_EQ(serial.outputs, run.outputs);
+            EXPECT_EQ(serial.crashed, run.crashed);
+            EXPECT_EQ(serial.departed, run.departed);
+            EXPECT_TRUE(serial.virtual_makespan == run.virtual_makespan);
+            ExpectMetricsEqual(serial.metrics, run.metrics);
+          }
+        }
       }
     }
   }

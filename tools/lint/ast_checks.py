@@ -10,11 +10,13 @@ analyzer resolves definitions and uses across statements and files:
               for_each_block / for_each_range), resolve which names are
               lane-local: the chunk/index parameters, everything
               derived from them (transitively, through initializers and
-              range-fors over the handed span), and body locals. A
-              store through a captured reference whose target is not
-              lane-local, not atomic, and not subscripted by a derived
-              index is a cross-lane race (or an order-dependent
-              reduction) and is flagged. This is the def-use successor
+              range-fors over the handed span), and body locals.
+              Derivation stops at an adjacency lookup (`neighbors(`):
+              a neighbor of a lane's node belongs to whichever lane
+              owns it. A store through a captured reference whose
+              target is not lane-local, not atomic, and not
+              subscripted by a derived index is a cross-lane race (or
+              an order-dependent reduction) and is flagged. This is the def-use successor
               of D4's "bare scalar write" heuristic: D4 cannot tell
               `parts[c] += x` from `parts[0] += x`; D5 can.
   slumber-d6  RNG stream-tag registry. src/util/stream_tags.h declares
@@ -178,6 +180,9 @@ DECL_RE = re.compile(
     r"([A-Za-z_][\w:]*(?:\s*<[^;{}()=]*>)?)[\s&*]+"
     r"([A-Za-z_]\w*)\s*(=[^;]*|\([^;{}]*\)|\{[^;{}]*\})?\s*[;,)]")
 WORD_RE = re.compile(r"[A-Za-z_]\w*")
+# An adjacency lookup: the ids it yields are other nodes, owned by
+# whichever lane owns them, so no index derives through it.
+FOREIGN_RE = re.compile(r"\bneighbors\s*\(")
 MUST_FLAG_RE = re.compile(r"MUST-FLAG\((?P<rule>slumber-[\w-]+)\)")
 
 DECL_TYPE_KEYWORDS = {
@@ -895,11 +900,13 @@ def collect_locals_and_derived(lam: PoolLambda) -> tuple[
     while changed:
         changed = False
         for name, init in decls:
-            if name not in derived and word_in(init, derived):
+            if name not in derived and word_in(init, derived) and \
+                    not FOREIGN_RE.search(init):
                 derived.add(name)
                 changed = True
         for var, rng in range_fors:
-            if var not in derived and word_in(rng, derived | spans):
+            if var not in derived and word_in(rng, derived | spans) and \
+                    not FOREIGN_RE.search(rng):
                 derived.add(var)
                 changed = True
     return locals_, derived

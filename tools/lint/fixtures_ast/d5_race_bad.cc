@@ -30,3 +30,23 @@ void fx_bad_span(Engine& eng, const std::vector<Vertex>& fx_members,
                    }
                  });
 }
+
+// A neighbor of a lane's node is owned by whichever lane owns it: an
+// index drawn from an adjacency row is not lane-local.
+void fx_bad_neighbor(Engine& eng, const Graph& g,
+                     const std::vector<Vertex>& fx_members,
+                     std::vector<std::uint8_t>& fx_flag) {
+  eng.scan_awake(fx_members,
+                 [&](Chunk& chunk, std::span<const Vertex> part) {
+                   for (const Vertex v : part) {
+                     const std::span<const Vertex> fx_nbrs = g.neighbors(v);
+                     for (const Vertex u : fx_nbrs) {
+                       fx_flag[u] |= 1;  // MUST-FLAG(slumber-d5)
+                     }
+                     for (const Vertex w : g.neighbors(v)) {
+                       fx_flag[w] = 2;  // MUST-FLAG(slumber-d5)
+                     }
+                     fx_flag[v] = 3;
+                   }
+                 });
+}

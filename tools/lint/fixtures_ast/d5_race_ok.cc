@@ -46,3 +46,19 @@ void fx_ok_justified(Pool* pool, std::vector<std::uint64_t>& fx_cells) {
     if (b == 0) fx_cells[0] = 7;
   });
 }
+
+// Cross-owner writes to a neighbor's slot go through atomics.
+void fx_ok_neighbor(Engine& eng, const Graph& g,
+                    const std::vector<Vertex>& fx_members,
+                    std::vector<std::uint8_t>& fx_flag) {
+  eng.scan_awake(fx_members,
+                 [&](Chunk& chunk, std::span<const Vertex> part) {
+                   for (const Vertex v : part) {
+                     for (const Vertex u : g.neighbors(v)) {
+                       std::atomic_ref(fx_flag[u])
+                           .fetch_or(1, std::memory_order_relaxed);
+                     }
+                     fx_flag[v] = 3;
+                   }
+                 });
+}

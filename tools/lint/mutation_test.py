@@ -65,6 +65,15 @@ PLANTS = [
         "slumber-d5",
     ),
     (
+        # Pass 1 of a lossy SleepingMIS round ORs kHeard into the status
+        # byte of each awake neighbor above v, which another chunk owns.
+        "d5-sleeping-mis-plain-heard-or",
+        "src/bulk/sleeping_mis.cc",
+        "u_byte.fetch_or(kHeard, std::memory_order_relaxed);",
+        "value[u] |= kHeard;",
+        "slumber-d5",
+    ),
+    (
         "d6-registry-high32-collision",
         "src/util/stream_tags.h",
         "0xC4A54AD0'5EED'0002ULL",
